@@ -11,6 +11,7 @@ verdict, 2 for any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -82,6 +83,14 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfcheck",
@@ -96,8 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("full", "partial", "non"))
     check.add_argument("--engine", default="brute",
                        choices=("brute", "fast"))
-    check.add_argument("--jobs", type=int, default=1)
-    check.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    check.add_argument("--jobs", type=positive_int, default=1,
+                       help="accepted and ignored: checks run in one thread")
+    check.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
     check.add_argument("--strict-deadline", action="store_true")
     check.set_defaults(handler=_cmd_check)
 
@@ -112,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser(
         "enumerate", help="print every run and its trace")
     enum.add_argument("--model", required=True)
-    enum.add_argument("--limit", type=int)
+    enum.add_argument("--limit", type=positive_int)
     enum.set_defaults(handler=_cmd_enumerate)
 
     classify = sub.add_parser(

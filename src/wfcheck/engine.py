@@ -2,28 +2,24 @@
 
 Three questions are asked of a model and a rule set: do all traces comply
 (full), does some trace comply (partial), does no trace comply (non).  The
-brute engine enumerates traces in the deterministic net order and
+brute engine scans traces in the order of the shared frontier enumerator
+(``net.enumerate_executions``: depth-first, next task ordered by id) and
 short-circuits on the first witness, so verdict, witness and the examined
-count are reproducible run to run.
+count are reproducible run to run.  The examined count is the position of
+the witness in that order (or the whole space when there is none).
 
-With jobs > 1 the trace stream is scanned in fixed-size chunks handed to a
-worker pool; chunk results are consumed in stream order and the first
-matching chunk decides, so the report is identical to the single-worker
-one.  The examined count always means: the position of the witness in the
-deterministic order (or the whole space when there is none).
+The scan runs in the calling thread.  ``jobs`` is accepted and ignored:
+threads gave no speedup on this CPU-bound scan, since the interpreter lock
+serialises it, and prefetching chunks for them slowed early exits.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 
 from .formula import State
 from .net import DEFAULT_CAP, Trace, derive_trace, enumerate_executions
 from .obligations import RuleSet, SatCache, eval_obligation
 from .process import Model
-
-CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -55,45 +51,16 @@ def trace_complies(tr: Trace, rs: RuleSet, strict_deadline: bool = False,
                for o in rs.obligations)
 
 
-def _scan(model: Model, rules: RuleSet, want: bool, jobs: int, cap: int,
+def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
           strict_deadline: bool) -> tuple[Trace | None, int]:
     """First trace whose compliance equals want, plus the examined count."""
     cache = SatCache()
-    traces = (derive_trace(model, e)
-              for e in enumerate_executions(model, cap))
-    found: Trace | None = None
     examined = 0
-    if jobs <= 1:
-        for trace in traces:
-            examined += 1
-            if trace_complies(trace, rules, strict_deadline, cache) == want:
-                return trace, examined
-        return None, examined
-
-    def probe(chunk: list[Trace]) -> int | None:
-        local = SatCache()
-        for k, trace in enumerate(chunk):
-            if trace_complies(trace, rules, strict_deadline, local) == want:
-                return k
-        return None
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = []
-        exhausted = False
-        while not exhausted or pending:
-            while not exhausted and len(pending) < jobs * 2:
-                chunk = list(islice(traces, CHUNK))
-                if not chunk:
-                    exhausted = True
-                    break
-                pending.append((chunk, pool.submit(probe, chunk)))
-            if not pending:
-                break
-            chunk, future = pending.pop(0)
-            hit = future.result()
-            if hit is not None:
-                return chunk[hit], examined + hit + 1
-            examined += len(chunk)
+    for execution in enumerate_executions(model, cap):
+        trace = derive_trace(model, execution)
+        examined += 1
+        if trace_complies(trace, rules, strict_deadline, cache) == want:
+            return trace, examined
     return None, examined
 
 
@@ -101,8 +68,7 @@ def check_full(model: Model, rules: RuleSet, jobs: int = 1,
                cap: int = DEFAULT_CAP,
                strict_deadline: bool = False) -> ComplianceReport:
     """Every trace complies; a violating trace is reported otherwise."""
-    violator, examined = _scan(model, rules, False, jobs, cap,
-                               strict_deadline)
+    violator, examined = _scan(model, rules, False, cap, strict_deadline)
     return ComplianceReport(
         mode="full",
         verdict=violator is None,
@@ -114,8 +80,7 @@ def check_partial(model: Model, rules: RuleSet, jobs: int = 1,
                   cap: int = DEFAULT_CAP,
                   strict_deadline: bool = False) -> ComplianceReport:
     """Some trace complies; the first such trace is the witness."""
-    complier, examined = _scan(model, rules, True, jobs, cap,
-                               strict_deadline)
+    complier, examined = _scan(model, rules, True, cap, strict_deadline)
     return ComplianceReport(
         mode="partial",
         verdict=complier is not None,

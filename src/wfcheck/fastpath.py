@@ -5,9 +5,10 @@ can observe about a run is the evolution of two truth values, plus which
 tasks trigger.  That evolution is a small automaton driven by task
 annotations, and the automaton's reachable states compose structurally:
 fold through sequence children, union over choice branches.  Parallel
-blocks have no cheap composition, so their interleavings are expanded
-explicitly under a cap; choice-heavy models — where brute force blows up —
-stay polynomial.
+blocks have no cheap composition, so they are explored task by task with
+the run enumerator's frontier step, memoising (residual, automaton state)
+pairs, and refused when they admit more runs than a cap; choice-heavy
+models — where brute force blows up — stay polynomial.
 
 Two automata are used.  The per-instance one tracks the interval opened by
 one designated trigger task and answers whether that interval can be
@@ -24,13 +25,13 @@ hopeless triggers as not executable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .formula import Literal, eval_formula, formula_to_literal
 from .net import ExecutionCapExceeded
 from .obligations import Kind, Obligation, RuleSet, classify_variant
 from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
-                      Xor, count_executions, validate)
+                      Xor, and_numbers, count_executions, frontier, validate)
 
 DEFAULT_AND_CAP = 4096
 
@@ -163,50 +164,6 @@ def _run_step(state: int, task: Task, trigger_ids: frozenset[str],
     return rt * 4 + dt * 2 + pool
 
 
-def _interleavings(runs: list[tuple[Task, ...]]) -> Iterator[tuple[Task, ...]]:
-    live = [r for r in runs if r]
-    if not live:
-        yield ()
-        return
-    for k, run in enumerate(live):
-        rest = live[:k] + [run[1:]] + live[k + 1:]
-        for tail in _interleavings(rest):
-            yield (run[0],) + tail
-
-
-def _product_lists(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product_lists(lists[1:]):
-            yield (head,) + tail
-
-
-def _runs(block: ProcessBlock) -> Iterator[tuple[Task, ...]]:
-    """All task sequences of a block; only used inside parallel blocks."""
-    if isinstance(block, TaskBlock):
-        yield (block.task,)
-    elif isinstance(block, Seq):
-        def rec(idx: int) -> Iterator[tuple[Task, ...]]:
-            if idx == len(block.children):
-                yield ()
-                return
-            for head in _runs(block.children[idx]):
-                for tail in rec(idx + 1):
-                    yield head + tail
-        yield from rec(0)
-    elif isinstance(block, Xor):
-        for child in block.children:
-            yield from _runs(child)
-    elif isinstance(block, AndBlock):
-        child_runs = [list(_runs(c)) for c in block.children]
-        for choice in _product_lists(child_runs):
-            yield from _interleavings(list(choice))
-    else:
-        raise TypeError(f"not a process block: {block!r}")
-
-
 def _reach(block: ProcessBlock, states: frozenset[int],
            step: Callable[[int, Task], int], cap: int) -> frozenset[int]:
     """Automaton states reachable after some run of the block."""
@@ -225,13 +182,22 @@ def _reach(block: ProcessBlock, states: frozenset[int],
         total = count_executions(block)
         if total > cap:
             raise ExecutionCapExceeded(total, cap)
+        # depth-first over (residual, automaton state) pairs: interleavings
+        # that reach the same pair share everything after it
+        numbers = and_numbers(block)
         out = set()
-        for run in _runs(block):
-            for s in states:
-                acc = s
-                for task in run:
-                    acc = step(acc, task)
-                out.add(acc)
+        stack = [(block, s) for s in states]
+        seen = set(stack)
+        while stack:
+            residual, s = stack.pop()
+            moves = frontier(residual, numbers)
+            if not moves:
+                out.add(s)
+            for task, after, _ in moves:
+                pair = (after, step(s, task))
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
         return frozenset(out)
     raise TypeError(f"not a process block: {block!r}")
 

@@ -6,20 +6,23 @@ places, and each and-block gets a silent fork and join pair.  Silent
 transitions carry empty annotations and are dropped from reported runs, so
 a reported execution lists exactly the model's tasks in firing order.
 
-Enumeration walks the net depth-first.  At each point the branching is over
-the tasks that can fire next once the forced silent transitions in front of
-them are flushed; this yields every distinct task-level run exactly once,
-with one canonical placement of the silent steps.
+The net is the reference semantics; runs are not found by walking it.
+Enumeration is a depth-first search over the block tree's frontier
+(``process.frontier``), the same step the fast engine explores and-blocks
+with.  It branches on the tasks that can fire next, ordered by id, so it
+yields every distinct task-level run exactly once, in lexicographic order
+of task ids.  Each run's firing sequence places every silent fork and join
+right before the first task that needs it, and replays on the net.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count as _count
 from typing import Iterator
 
 from .formula import EMPTY_STATE, State, update
 from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
-                      Xor, count_executions)
+                      Xor, and_numbers, count_executions, frontier)
 
 SOURCE_PLACE = "i"
 SINK_PLACE = "o"
@@ -73,13 +76,9 @@ class WFNet:
     silent_ids: frozenset[str]
     source: str = SOURCE_PLACE
     sink: str = SINK_PLACE
-    producers: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def initial_marking(self) -> Marking:
         return Marking.of({self.source: 1})
-
-    def visible_ids(self) -> list[str]:
-        return sorted(t for t in self.transitions if t not in self.silent_ids)
 
 
 @dataclass(frozen=True)
@@ -170,13 +169,7 @@ def compile_to_net(model: Model) -> WFNet:
             raise TypeError(f"not a process block: {block!r}")
 
     build(model.root, SOURCE_PLACE, SINK_PLACE)
-    producers: dict[str, list[str]] = {}
-    for tid, posts in post.items():
-        for p in posts:
-            producers.setdefault(p, []).append(tid)
-    return WFNet(tuple(places), transitions, pre, post, frozenset(silent),
-                 producers={p: tuple(sorted(ts))
-                            for p, ts in producers.items()})
+    return WFNet(tuple(places), transitions, pre, post, frozenset(silent))
 
 
 def enabled(net: WFNet, marking: Marking) -> set[Task]:
@@ -203,99 +196,39 @@ def fire(net: WFNet, marking: Marking, t: Task) -> Marking:
     return Marking.of(counts)
 
 
-def _fire_counts(net: WFNet, counts: dict[str, int], tid: str):
-    for p in net.pre[tid]:
-        counts[p] = counts.get(p, 0) - 1
-    for p in net.post[tid]:
-        counts[p] = counts.get(p, 0) + 1
-
-
-def _silent_path_to(net: WFNet, counts: dict[str, int],
-                    place: str) -> list[str] | None:
-    """Silent firings that put a token on place, or None if impossible.
-
-    Only transitions feeding the requested place are considered, so the
-    search never commits an unrelated choice as a side effect.
-    """
-    if counts.get(place, 0) > 0:
-        return []
-    for tid in net.producers.get(place, ()):
-        if tid not in net.silent_ids:
-            continue
-        sim = dict(counts)
-        path: list[str] = []
-        feasible = True
-        for p in net.pre[tid]:
-            sub = _silent_path_to(net, sim, p)
-            if sub is None:
-                feasible = False
-                break
-            for s in sub:
-                _fire_counts(net, sim, s)
-            path.extend(sub)
-        if not feasible:
-            continue
-        path.append(tid)
-        return path
-    return None
-
-
-def _moves(net: WFNet, counts: dict[str, int],
-           fired: set[str]) -> list[tuple[str, list[str]]]:
-    """Tasks that can fire next, each with its forced silent prefix."""
-    out = []
-    for tid in net.visible_ids():
-        if tid in fired:
-            continue
-        sim = dict(counts)
-        path: list[str] = []
-        feasible = True
-        for p in net.pre[tid]:
-            sub = _silent_path_to(net, sim, p)
-            if sub is None:
-                feasible = False
-                break
-            for s in sub:
-                _fire_counts(net, sim, s)
-            path.extend(sub)
-        if feasible:
-            out.append((tid, path))
-    return out
-
-
 def enumerate_executions(model: Model,
                          cap: int = DEFAULT_CAP) -> Iterator[Execution]:
     """Yield every run exactly once, depth-first, next task ordered by id."""
     total = count_executions(model.root)
     if total > cap:
         raise ExecutionCapExceeded(total, cap)
-    net = compile_to_net(model)
-    return _enumerate_net(net)
+    return _walk(model.root)
 
 
-def _enumerate_net(net: WFNet) -> Iterator[Execution]:
-    def walk(counts: dict[str, int], fired: set[str],
-             steps: list[Task], firing: list[str]) -> Iterator[Execution]:
-        moves = _moves(net, counts, fired)
-        if not moves:
-            if dict((p, c) for p, c in counts.items() if c) != {net.sink: 1}:
-                raise RuntimeError(f"deadlocked marking {counts!r}")
-            yield Execution(tuple(steps), tuple(firing))
-            return
-        for tid, path in moves:
-            nxt = dict(counts)
-            for s in path:
-                _fire_counts(net, nxt, s)
-            _fire_counts(net, nxt, tid)
-            task = net.transitions[tid]
+def _walk(root: ProcessBlock) -> Iterator[Execution]:
+    numbers = and_numbers(root)
+    steps: list[Task] = []
+    firing: list[str] = []
+    marks: list[int] = []  # len(firing) before each step
+    stack = [iter(frontier(root, numbers))]
+    while stack:
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+        else:
+            task, after, silent = move
+            marks.append(len(firing))
             steps.append(task)
-            firing.extend(path)
-            firing.append(tid)
-            yield from walk(nxt, fired | {tid}, steps, firing)
+            firing.extend(silent)
+            firing.append(task.id)
+            moves = frontier(after, numbers)
+            if moves:
+                stack.append(iter(moves))
+                continue
+            yield Execution(tuple(steps), tuple(firing))
+        if steps:  # take back the step just finished with
             steps.pop()
-            del firing[len(firing) - len(path) - 1:]
-
-    yield from walk({net.source: 1}, set(), [], [])
+            del firing[marks.pop():]
 
 
 def derive_trace(model: Model, execution: Execution) -> Trace:

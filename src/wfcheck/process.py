@@ -181,3 +181,110 @@ def _length_counts(block: ProcessBlock) -> dict[int, int]:
 def count_executions(block: ProcessBlock) -> int:
     """Exact number of distinct runs, without enumerating them."""
     return sum(_length_counts(block).values())
+
+
+# ---------------------------------------------------------------------------
+# Residuals: what is left to run of a block once a run prefix has fired.
+#
+# A residual is an unstarted block, a Seq whose first child is a residual
+# and whose other children are unstarted, a Par (an and-block whose fork
+# has fired), or Joined (nothing left).  Every block runs at least one
+# task, so the frontier of a Seq is the frontier of its first child.
+#
+# The silent steps are those of compile_to_net: and-block N (pre-order,
+# from 1) forks as __forkN right before its first task, and joins as
+# __joinN right before the first task after it.  A finished branch's joins
+# wait in its Joined until that task fires.
+
+
+@dataclass(frozen=True)
+class Par:
+    """An and-block whose fork has fired, with one residual per branch."""
+
+    number: int
+    children: tuple["Residual", ...]
+
+
+@dataclass(frozen=True)
+class Joined:
+    """A finished residual; ``joins`` still fire, innermost first."""
+
+    joins: tuple[str, ...] = ()
+
+
+DONE = Joined()
+
+Residual = Union[ProcessBlock, Par, Joined]
+Move = tuple[Task, Residual, tuple[str, ...]]
+
+
+def and_numbers(block: ProcessBlock) -> dict[int, int]:
+    """Pre-order number of each and-block, keyed by the block's id().
+
+    Keys are identities because hashing a block hashes its whole subtree.
+    """
+    numbers: dict[int, int] = {}
+    stack = [block]
+    while stack:
+        b = stack.pop()
+        if isinstance(b, AndBlock):
+            numbers[id(b)] = len(numbers) + 1
+        if not isinstance(b, TaskBlock):
+            stack.extend(reversed(b.children))
+    return numbers
+
+
+def frontier(residual: Residual, numbers: dict[int, int]) -> list[Move]:
+    """The tasks that can fire next, ordered by task id.
+
+    Each move is (task, residual left after it, silent ids fired just
+    before it).  ``numbers`` is ``and_numbers`` of the enclosing tree.
+    """
+    moves = _frontier(residual, numbers)
+    moves.sort(key=lambda move: move[0].id)
+    return moves
+
+
+def _then(after: Residual, rest: tuple[ProcessBlock, ...]) -> Residual:
+    """The residual of a Seq whose first child has become ``after``."""
+    if not rest:
+        return after
+    if after is DONE:
+        return rest[0] if len(rest) == 1 else Seq(rest)
+    return Seq((after,) + rest)
+
+
+def _frontier(r: Residual, numbers: dict[int, int]) -> list[Move]:
+    if isinstance(r, TaskBlock):
+        return [(r.task, DONE, ())]
+    if isinstance(r, Seq):
+        head, rest = r.children[0], r.children[1:]
+        if isinstance(head, Joined):
+            return [(t, after, head.joins + silent) for t, after, silent
+                    in _frontier(_then(DONE, rest), numbers)]
+        return [(t, _then(after, rest), silent)
+                for t, after, silent in _frontier(head, numbers)]
+    if isinstance(r, Xor):
+        return [move for child in r.children
+                for move in _frontier(child, numbers)]
+    if isinstance(r, Par):
+        moves = []
+        for k, child in enumerate(r.children):
+            for t, after, silent in _frontier(child, numbers):
+                children = r.children[:k] + (after,) + r.children[k + 1:]
+                if isinstance(after, Joined) and all(
+                        isinstance(c, Joined) for c in children):
+                    joins = sum((c.joins for c in children), ())
+                    after = Joined(joins + (f"__join{r.number}",))
+                else:
+                    after = Par(r.number, children)
+                moves.append((t, after, silent))
+        return moves
+    if isinstance(r, AndBlock):
+        n = numbers[id(r)]
+        fork = (f"__fork{n}",)
+        return [(t, after, fork + silent) for t, after, silent
+                in _frontier(Par(n, r.children), numbers)]
+    if isinstance(r, Joined):
+        return []
+    raise TypeError(f"not a residual: {r!r}")

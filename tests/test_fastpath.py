@@ -278,3 +278,17 @@ class TestScaling:
             partial_compliant_fast(m, o)
         assert partial_compliant_fast(m, o, and_cap=6000)
         assert full_compliant_fast(m, o, and_cap=6000)
+
+    def test_parallel_chains_explore_states_not_interleavings(self):
+        # lane 0 ends on the deadline, lane 2 starts with the requirement
+        marks = {(0, 4): ("d",), (2, 0): ("b",)}
+        lanes = [seq(*(task(f"c{i}_{j}", *marks.get((i, j), ()))
+                       for j in range(5)))
+                 for i in range(3)]
+        m = validate(seq(task("x", "a"), and_(*lanes)), name="chains")
+        o = lit_rule("achievement", "b", "a", "d")
+        assert count_executions(m.body) == 756_756
+        started = time.perf_counter()
+        assert partial_compliant_fast(m, o, and_cap=10 ** 6)
+        assert not full_compliant_fast(m, o, and_cap=10 ** 6)
+        assert time.perf_counter() - started < 2.0

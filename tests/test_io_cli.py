@@ -269,6 +269,34 @@ class TestCli:
                   "--rules", str(GOLDEN_RULES), "--mode", "sometimes"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model", str(GOLDEN_MODEL), "--rules", str(GOLDEN_RULES),
+         "--mode", "full", "--jobs", "-5"],
+        ["check", "--model", str(GOLDEN_MODEL), "--rules", str(GOLDEN_RULES),
+         "--mode", "full", "--cap", "0"],
+        ["enumerate", "--model", str(GOLDEN_MODEL), "--limit", "-1"],
+    ])
+    def test_non_positive_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_long_sequence_needs_no_deep_recursion(self, tmp_path, capsys):
+        model = tmp_path / "long.model.json"
+        model.write_text(json.dumps({"name": "long", "root": {
+            "type": "seq",
+            "children": [task_dict(f"t{k}") for k in range(5000)]}}))
+        code = main(["check", "--model", str(model),
+                     "--rules", str(GOLDEN_RULES), "--mode", "full"])
+        assert code in (0, 1)
+        assert json.loads(capsys.readouterr().out)["traces_examined"] == 1
+        assert main(["enumerate", "--model", str(model),
+                     "--limit", "1"]) == 0
+        row = capsys.readouterr().out.strip().split(" | ")[0]
+        assert row.split(",") == ["start"] + [
+            f"t{k}" for k in range(5000)] + ["end"]
+
     def test_reduce_verify_tautology(self, capsys):
         assert main(["reduce", "--formula", "a | !a", "--verify"]) == 0
         out = capsys.readouterr().out.strip()

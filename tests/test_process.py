@@ -1,4 +1,6 @@
 """Model validation, net compilation, run enumeration and trace derivation."""
+import itertools
+
 import pytest
 from hypothesis import assume, given
 
@@ -8,8 +10,8 @@ from wfcheck.formula import State
 from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, Marking,
                          NotEnabled, Trace, compile_to_net, derive_trace,
                          enabled, enumerate_executions, fire, replay)
-from wfcheck.process import (DuplicateTaskId, EmptyBlock,
-                             InconsistentAnnotation, InvalidTaskId, Task,
+from wfcheck.process import (AndBlock, DuplicateTaskId, EmptyBlock,
+                             InconsistentAnnotation, InvalidTaskId, Seq, Task,
                              TaskBlock, and_, count_executions, seq, task,
                              validate, xor)
 
@@ -149,6 +151,45 @@ class TestEnumeration:
         first = [e.task_ids() for e in enumerate_executions(example_model)]
         second = [e.task_ids() for e in enumerate_executions(example_model)]
         assert first == second
+
+
+def structural_runs(block):
+    """Every run of a block as task ids, listed from the block tree."""
+    if isinstance(block, TaskBlock):
+        return {(block.task.id,)}
+    child_runs = [structural_runs(c) for c in block.children]
+    if isinstance(block, Seq):
+        return {sum(parts, ()) for parts in itertools.product(*child_runs)}
+    if isinstance(block, AndBlock):
+        return {run for parts in itertools.product(*child_runs)
+                for run in shuffles(list(parts))}
+    return set().union(*child_runs)
+
+
+def shuffles(runs):
+    """Interleavings of runs that keep each run's own order."""
+    live = [r for r in runs if r]
+    if not live:
+        return {()}
+    return {(r[0],) + tail for k, r in enumerate(live)
+            for tail in shuffles(live[:k] + [r[1:]] + live[k + 1:])}
+
+
+class TestEnumerationOrder:
+    @given(models())
+    def test_runs_are_the_structural_runs_in_lexicographic_order(self, m):
+        assume(count_executions(m.root) <= 2_000)
+        runs = [e.task_ids() for e in enumerate_executions(m)]
+        assert runs == sorted(structural_runs(m.root))
+
+    def test_silent_steps_fire_right_before_the_task_needing_them(self):
+        m = validate(seq(and_(and_(task("a"), task("b")), task("c")),
+                         task("d")))
+        first = next(enumerate_executions(m))
+        assert first.firing == ("start", "__fork1", "__fork2", "a", "b",
+                                "c", "__join2", "__join1", "d", "end")
+        net = compile_to_net(m)
+        assert replay(net, first.firing)[-1] == Marking.of({"o": 1})
 
 
 class TestCount:
