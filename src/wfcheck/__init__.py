@@ -13,7 +13,7 @@ from .formula import (EMPTY_STATE, Literal, State, eval_formula,
                       update)
 from .generate import GeneratorConfig, generate_instance
 from .net import (ExecutionCapExceeded, Execution, Trace, compile_to_net,
-                  derive_trace, enumerate_executions)
+                  derive_trace, enumerate_executions, enumerate_traces)
 from .obligations import (Kind, Obligation, RuleSet, VariantTag,
                           classify_variant, eval_obligation,
                           in_force_intervals)

@@ -22,7 +22,7 @@ from .fastpath import WrongVariant
 from .fileio import (dump_model, dump_rules, format_report, load_model,
                      load_rules)
 from .formula import parse_formula
-from .net import derive_trace, enumerate_executions
+from .net import enumerate_traces
 from .obligations import classify_variant
 from .reduction import build_interpretation_model, verify_reduction_steps
 
@@ -63,12 +63,12 @@ def _format_row(execution, trace) -> str:
 def _cmd_enumerate(args) -> int:
     model = load_model(args.model)
     if args.limit is None:
-        runs = enumerate_executions(model)
+        runs = enumerate_traces(model)
     else:
         runs = itertools.islice(
-            enumerate_executions(model, cap=sys.maxsize), args.limit)
-    for execution in runs:
-        print(_format_row(execution, derive_trace(model, execution)))
+            enumerate_traces(model, cap=sys.maxsize), args.limit)
+    for execution, trace in runs:
+        print(_format_row(execution, trace))
     return 0
 
 

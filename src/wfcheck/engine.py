@@ -3,10 +3,15 @@
 Three questions are asked of a model and a rule set: do all traces comply
 (full), does some trace comply (partial), does no trace comply (non).  The
 brute engine scans traces in the order of the shared frontier enumerator
-(``net.enumerate_executions``: depth-first, next task ordered by id) and
+(``net.enumerate_traces``: depth-first, next task ordered by id) and
 short-circuits on the first witness, so verdict, witness and the examined
 count are reproducible run to run.  The examined count is the position of
 the witness in that order (or the whole space when there is none).
+
+The enumerator folds states per edge of its search, so runs that share a
+prefix share its states, and one ``SatCache`` serves the whole scan: a
+formula judged on a state an earlier run reached is looked up, not
+evaluated again.
 
 The scan runs in the calling thread.  ``jobs`` is accepted and ignored:
 threads gave no speedup on this CPU-bound scan, since the interpreter lock
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import State
-from .net import DEFAULT_CAP, Trace, derive_trace, enumerate_executions
+from .net import DEFAULT_CAP, Trace, enumerate_traces
 from .obligations import RuleSet, SatCache, eval_obligation
 from .process import Model
 
@@ -56,8 +61,7 @@ def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
     """First trace whose compliance equals want, plus the examined count."""
     cache = SatCache()
     examined = 0
-    for execution in enumerate_executions(model, cap):
-        trace = derive_trace(model, execution)
+    for _, trace in enumerate_traces(model, cap):
         examined += 1
         if trace_complies(trace, rules, strict_deadline, cache) == want:
             return trace, examined

@@ -3,7 +3,9 @@
 A model file stores the block tree the user authored; the reserved
 start/end wrapper is re-created on load, so load(dump(m)) rebuilds an
 equal model.  Rule files hold formula strings in the parser's syntax, a
-null trigger/deadline pair meaning the rule is in force globally.
+null trigger/deadline pair meaning the rule is in force globally.  Field
+types are checked on load, so a malformed file raises FileFormatError
+rather than an error from deep inside the constructors.
 """
 from __future__ import annotations
 
@@ -22,6 +24,12 @@ class FileFormatError(ValueError):
     """The JSON is well-formed but does not describe a valid object."""
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise FileFormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _block_to_dict(block: ProcessBlock) -> dict:
     if isinstance(block, TaskBlock):
         return {"type": "task", "id": block.task.id,
@@ -38,16 +46,21 @@ def _block_from_dict(obj) -> ProcessBlock:
     if kind == "task":
         if "id" not in obj:
             raise FileFormatError("task block without an id")
-        ann = obj.get("ann", [])
+        tid, ann = obj["id"], obj.get("ann", [])
+        if not isinstance(tid, str):
+            raise FileFormatError(f"task id must be a string, got {tid!r}")
+        if not (isinstance(ann, list)
+                and all(isinstance(lit, str) for lit in ann)):
+            raise FileFormatError(f"task {tid!r}: ann must be a list of "
+                                  f"strings, got {ann!r}")
         try:
             state = State.of(*ann)
         except InconsistentInput as err:
-            raise InconsistentAnnotation(
-                f"task {obj['id']!r}: {err}") from err
-        return TaskBlock(Task(obj["id"], state))
+            raise InconsistentAnnotation(f"task {tid!r}: {err}") from err
+        return TaskBlock(Task(tid, state))
     try:
         ctor = {"seq": Seq, "xor": Xor, "and": AndBlock}[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable type value
         raise FileFormatError(f"unknown block type {kind!r}") from None
     children = obj.get("children", [])
     if not isinstance(children, list):
@@ -63,7 +76,7 @@ def model_from_dict(obj) -> Model:
     if not isinstance(obj, dict) or "root" not in obj:
         raise FileFormatError("model file needs a top-level 'root' block")
     return validate(_block_from_dict(obj["root"]),
-                    name=obj.get("name", "model"))
+                    name=_string(obj.get("name", "model"), "model name"))
 
 
 def load_model(path) -> Model:
@@ -88,18 +101,18 @@ def _obligation_from_dict(obj) -> Obligation:
     if not isinstance(obj, dict):
         raise FileFormatError(f"expected an obligation object, got {obj!r}")
     try:
-        kind = Kind(obj["kind"])
-        requirement = parse_formula(obj["requirement"])
+        kind = Kind(_string(obj["kind"], "kind"))
+        requirement = parse_formula(_string(obj["requirement"],
+                                            "requirement"))
+        trigger, deadline = (
+            None if obj.get(key) is None
+            else parse_formula(_string(obj[key], key))
+            for key in ("trigger", "deadline"))
     except KeyError as err:
         raise FileFormatError(f"obligation without {err}") from None
     except ValueError as err:
         raise FileFormatError(str(err)) from err
-    trigger = obj.get("trigger")
-    deadline = obj.get("deadline")
-    return Obligation(
-        kind, requirement,
-        None if trigger is None else parse_formula(trigger),
-        None if deadline is None else parse_formula(deadline))
+    return Obligation(kind, requirement, trigger, deadline)
 
 
 def rules_to_dict(rs: RuleSet) -> dict:
@@ -109,8 +122,10 @@ def rules_to_dict(rs: RuleSet) -> dict:
 def rules_from_dict(obj) -> RuleSet:
     if not isinstance(obj, dict) or "obligations" not in obj:
         raise FileFormatError("rules file needs an 'obligations' array")
-    return RuleSet(tuple(_obligation_from_dict(o)
-                         for o in obj["obligations"]))
+    obligations = obj["obligations"]
+    if not isinstance(obligations, list):
+        raise FileFormatError("obligations must be a list")
+    return RuleSet(tuple(_obligation_from_dict(o) for o in obligations))
 
 
 def load_rules(path) -> RuleSet:

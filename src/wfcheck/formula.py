@@ -182,12 +182,16 @@ def update(s1: State, s2: State) -> State:
 
     The result keeps every literal of s1 whose negation is not asserted by
     s2, plus everything in s2.  Both arguments must already be consistent
-    (State enforces that), so the result is consistent too.
+    (State enforces that), so the result is consistent too.  Since s2 holds
+    one polarity per atom, dropping every s1 literal on an atom s2 mentions
+    and then adding s2 gives that set without building the negations.
     """
     if not isinstance(s1, State) or not isinstance(s2, State):
         raise InconsistentInput("update expects two State values")
-    retracted = {lit.negate() for lit in s2.literals}
-    return State(frozenset(l for l in s1.literals if l not in retracted)
+    if not s2.literals:
+        return s1
+    mentioned = {lit.atom for lit in s2.literals}
+    return State(frozenset(l for l in s1.literals if l.atom not in mentioned)
                  | s2.literals)
 
 

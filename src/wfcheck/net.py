@@ -13,6 +13,12 @@ with.  It branches on the tasks that can fire next, ordered by id, so it
 yields every distinct task-level run exactly once, in lexicographic order
 of task ids.  Each run's firing sequence places every silent fork and join
 right before the first task that needs it, and replays on the net.
+
+The walk folds task annotations into states as it goes: each edge of the
+search pushes the state after its task and pops it on the way back, so a
+prefix that many runs share is folded once, not once per run.
+``enumerate_traces`` yields each run with that trace; ``derive_trace``
+folds one run from the empty state and is the reference it must equal.
 """
 from __future__ import annotations
 
@@ -196,18 +202,26 @@ def fire(net: WFNet, marking: Marking, t: Task) -> Marking:
     return Marking.of(counts)
 
 
-def enumerate_executions(model: Model,
-                         cap: int = DEFAULT_CAP) -> Iterator[Execution]:
-    """Yield every run exactly once, depth-first, next task ordered by id."""
+def enumerate_traces(model: Model,
+                     cap: int = DEFAULT_CAP) -> Iterator[tuple[Execution,
+                                                                Trace]]:
+    """Yield every run with its trace, in enumerate_executions' order."""
     total = count_executions(model.root)
     if total > cap:
         raise ExecutionCapExceeded(total, cap)
     return _walk(model.root)
 
 
-def _walk(root: ProcessBlock) -> Iterator[Execution]:
+def enumerate_executions(model: Model,
+                         cap: int = DEFAULT_CAP) -> Iterator[Execution]:
+    """Yield every run exactly once, depth-first, next task ordered by id."""
+    return (execution for execution, _ in enumerate_traces(model, cap))
+
+
+def _walk(root: ProcessBlock) -> Iterator[tuple[Execution, Trace]]:
     numbers = and_numbers(root)
     steps: list[Task] = []
+    states: list[State] = []  # the state after each step
     firing: list[str] = []
     marks: list[int] = []  # len(firing) before each step
     stack = [iter(frontier(root, numbers))]
@@ -218,6 +232,8 @@ def _walk(root: ProcessBlock) -> Iterator[Execution]:
         else:
             task, after, silent = move
             marks.append(len(firing))
+            states.append(update(states[-1] if states else EMPTY_STATE,
+                                 task.annotation))
             steps.append(task)
             firing.extend(silent)
             firing.append(task.id)
@@ -225,9 +241,11 @@ def _walk(root: ProcessBlock) -> Iterator[Execution]:
             if moves:
                 stack.append(iter(moves))
                 continue
-            yield Execution(tuple(steps), tuple(firing))
+            yield (Execution(tuple(steps), tuple(firing)),
+                   Trace(tuple(zip(steps, states))))
         if steps:  # take back the step just finished with
             steps.pop()
+            states.pop()
             del firing[marks.pop():]
 
 

@@ -32,7 +32,14 @@ class NotNested(ValueError):
 
 @dataclass(frozen=True)
 class SatCache:
-    """Memo for formula-over-state checks; one engine run shares one."""
+    """Memo for formula-over-state checks; one engine run shares one.
+
+    Formulas are keyed by identity: ``memo`` maps ``id(f)`` to ``f`` and
+    its table of truth values per state, so a lookup hashes an int and a
+    state and never walks the formula tree.  The entry keeps ``f`` alive,
+    so its id is not reused while the cache lives.  Equal formulas that are
+    distinct objects just get tables of their own.
+    """
 
     memo: dict = None  # type: ignore[assignment]
 
@@ -41,12 +48,14 @@ class SatCache:
             object.__setattr__(self, "memo", {})
 
     def holds(self, f: Formula, s: State) -> bool:
-        key = (f, s)
+        entry = self.memo.get(id(f))
+        if entry is None:
+            entry = self.memo[id(f)] = (f, {})
+        table = entry[1]
         try:
-            return self.memo[key]
+            return table[s]
         except KeyError:
-            value = eval_formula(f, s)
-            self.memo[key] = value
+            value = table[s] = eval_formula(f, s)
             return value
 
 
@@ -101,20 +110,36 @@ class ObligationResult:
     violating: InForceInterval | None = None
 
 
-def _interval_at(states: tuple[State, ...], o: Obligation, i: int,
-                 cache: SatCache) -> InForceInterval:
+def _local_intervals(states: tuple[State, ...], o: Obligation,
+                     triggers: list[int],
+                     cache: SatCache) -> list[InForceInterval]:
+    """The intervals opened at the given trigger steps, in one pass.
+
+    Triggers come in increasing order, and so do their deadlines, so each
+    search resumes where the last one stopped: ``delta`` at the next
+    deadline, ``k`` at the next requirement (achievement) or requirement
+    failure (maintenance).  A requirement search stops at its interval's
+    deadline.  Searches only move forward, so a run of n steps costs O(n)
+    ``holds`` calls, not one per trigger and later step.
+    """
     last = len(states) - 1
-    j_delta = next((j for j in range(i, last + 1)
-                    if cache.holds(o.deadline, states[j])), last)
-    if o.kind is Kind.MAINTENANCE:
-        ok = all(cache.holds(o.requirement, states[k])
-                 for k in range(i, j_delta + 1))
-        return InForceInterval(i, j_delta, ok)
-    j_rho = next((j for j in range(i, last + 1)
-                  if cache.holds(o.requirement, states[j])), None)
-    if j_rho is not None and j_rho <= j_delta:
-        return InForceInterval(i, j_rho, True)
-    return InForceInterval(i, j_delta, False)
+    out = []
+    delta = k = 0
+    for i in triggers:
+        delta = max(delta, i)
+        while delta < last and not cache.holds(o.deadline, states[delta]):
+            delta += 1
+        k = max(k, i)
+        if o.kind is Kind.MAINTENANCE:
+            while k <= delta and cache.holds(o.requirement, states[k]):
+                k += 1
+            out.append(InForceInterval(i, delta, k > delta))
+        else:
+            while k <= delta and not cache.holds(o.requirement, states[k]):
+                k += 1
+            out.append(InForceInterval(i, k, True) if k <= delta
+                       else InForceInterval(i, delta, False))
+    return out
 
 
 def _global_interval(states: tuple[State, ...], o: Obligation,
@@ -143,8 +168,7 @@ def in_force_intervals(tr: Trace, o: Obligation,
     states = tr.states()
     if o.is_global:
         return [_global_interval(states, o, cache)]
-    return [_interval_at(states, o, i, cache)
-            for i in trigger_indices(tr, o, cache)]
+    return _local_intervals(states, o, trigger_indices(tr, o, cache), cache)
 
 
 def eval_obligation(tr: Trace, o: Obligation, strict_deadline: bool = False,
@@ -159,16 +183,18 @@ def eval_obligation(tr: Trace, o: Obligation, strict_deadline: bool = False,
     intervals = in_force_intervals(tr, o, cache)
     if (strict_deadline and o.kind is Kind.ACHIEVEMENT
             and not o.is_global):
+        # a requirement counts only up to the first deadline of the trace
         states = tr.states()
-        first_delta = next((j for j, s in enumerate(states)
-                            if cache.holds(o.deadline, s)), None)
+        bound = next((j for j, s in enumerate(states)
+                      if cache.holds(o.deadline, s)), len(states) - 1)
         checked = []
+        k = 0
         for iv in intervals:
-            j_rho = next((j for j in range(iv.start_index, len(states))
-                          if cache.holds(o.requirement, states[j])), None)
-            ok = j_rho is not None and (first_delta is None
-                                        or j_rho <= first_delta)
-            checked.append(InForceInterval(iv.start_index, iv.end_index, ok))
+            k = max(k, iv.start_index)
+            while k <= bound and not cache.holds(o.requirement, states[k]):
+                k += 1
+            checked.append(InForceInterval(iv.start_index, iv.end_index,
+                                           k <= bound))
         intervals = checked
     for iv in intervals:
         if not iv.satisfied:
@@ -187,13 +213,10 @@ def eval_restricted(tr: Trace, o: Obligation, allowed) -> bool:
                 o.trigger, task.annotation):
             raise ValueError(
                 f"task {task.id!r} does not satisfy the trigger")
-    states = tr.states()
-    for i in trigger_indices(tr, o, cache):
-        if tr.steps[i][0].id not in allowed_ids:
-            continue
-        if not _interval_at(states, o, i, cache).satisfied:
-            return False
-    return True
+    triggers = [i for i in trigger_indices(tr, o, cache)
+                if tr.steps[i][0].id in allowed_ids]
+    return all(iv.satisfied
+               for iv in _local_intervals(tr.states(), o, triggers, cache))
 
 
 def overlap_reduction(i1: InForceInterval, i2: InForceInterval,

@@ -15,7 +15,7 @@ from itertools import product
 from .engine import check_full
 from .formula import (Formula, Interpretation, Literal, State, atoms,
                       format_formula, tautology_truth_table)
-from .net import derive_trace, enumerate_executions
+from .net import enumerate_traces
 from .obligations import Kind, Obligation, RuleSet
 from .process import Model, seq, task, validate, xor
 
@@ -83,8 +83,7 @@ def verify_reduction_steps(f: Formula) -> ReductionCheck:
     """Run the construction checks and compare both tautology routes."""
     inst = build_interpretation_model(f)
     names = sorted(atoms(f))
-    traces = [derive_trace(inst.model, e)
-              for e in enumerate_executions(inst.model)]
+    traces = [tr for _, tr in enumerate_traces(inst.model)]
 
     finals = [tr.states()[-1] for tr in traces]
     step_final_total = all(_is_total(s, names) for s in finals)

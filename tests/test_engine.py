@@ -1,7 +1,10 @@
 """Full/partial/non classification against the enumerated trace space."""
+import itertools
+
 import pytest
 from conftest import build_example_model
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategies import make_trace, models, rule_sets
 
 from wfcheck.engine import (check_full, check_non, check_partial, run_check,
@@ -10,7 +13,9 @@ from wfcheck.fastpath import WrongVariant
 from wfcheck.formula import Literal, State, parse_formula
 from wfcheck.net import ExecutionCapExceeded, derive_trace, \
     enumerate_executions
-from wfcheck.obligations import Kind, Obligation, RuleSet
+from wfcheck.generate import GeneratorConfig, generate_instance
+from wfcheck.obligations import (Kind, Obligation, RuleSet, SatCache,
+                                 VariantTag)
 from wfcheck.process import seq, task, validate
 from wfcheck.reduction import build_interpretation_model
 
@@ -138,6 +143,53 @@ def test_witnesses_replay_and_exhibit_the_property(m, rs):
 def test_worker_count_does_not_change_reports(m, rs):
     for checker in (check_full, check_partial, check_non):
         assert checker(m, rs, jobs=1) == checker(m, rs, jobs=4)
+
+
+def reference_report(m, rs, mode, strict):
+    """The scan from scratch: list runs, fold each one, one fresh cache."""
+    want = mode != "full"
+    cache = SatCache()
+    examined, found = 0, None
+    for execution in enumerate_executions(m):
+        examined += 1
+        tr = derive_trace(m, execution)
+        if trace_complies(tr, rs, strict, cache) == want:
+            found = tr
+            break
+    verdict = (found is None) if mode != "partial" else (found is not None)
+    witness = None if found is None else (found.task_ids(), found.states())
+    return verdict, witness, examined
+
+
+VARIANT_TAGS = [VariantTag(*bits)
+                for bits in itertools.product((True, False), repeat=3)]
+
+
+def assert_matches_reference(m, rs, mode, strict):
+    report = run_check(m, rs, mode, strict_deadline=strict)
+    witness = None if report.witness is None else (
+        report.witness.execution, report.witness.states)
+    assert (report.verdict, witness, report.traces_examined) \
+        == reference_report(m, rs, mode, strict)
+
+
+@pytest.mark.parametrize("tag", VARIANT_TAGS, ids=str)
+def test_brute_reports_equal_the_reference_scan(tag):
+    for seed in range(20):
+        m, rs = generate_instance(GeneratorConfig(seed=seed, max_tasks=12,
+                                                  variant=tag))
+        for mode, strict in itertools.product(("full", "partial", "non"),
+                                              (False, True)):
+            assert_matches_reference(m, rs, mode, strict)
+
+
+@settings(max_examples=30)
+@given(models(max_tasks=7), rule_sets(), st.sampled_from(("full", "partial",
+                                                         "non")),
+       st.booleans())
+def test_brute_reports_equal_the_reference_scan_on_random_models(
+        m, rs, mode, strict):
+    assert_matches_reference(m, rs, mode, strict)
 
 
 class TestRunCheck:

@@ -187,6 +187,17 @@ class TestState:
         assert s2.literals <= result.literals
 
     @given(states(), states())
+    def test_update_retracts_the_negations_of_the_new_literals(self, s1, s2):
+        retracted = {lit.negate() for lit in s2}
+        expected = State(frozenset(l for l in s1 if l not in retracted)
+                         | s2.literals)
+        assert update(s1, s2) == expected
+
+    def test_update_with_empty_keeps_the_state(self):
+        s = State.of("a", "-b")
+        assert update(s, State()) is s
+
+    @given(states(), states())
     def test_update_keeps_untouched_atoms(self, s1, s2):
         result = update(s1, s2)
         for lit in s1:

@@ -75,6 +75,16 @@ class TestModelFiles:
         with pytest.raises(FileFormatError, match="root"):
             model_from_dict({"name": "nothing"})
 
+    @pytest.mark.parametrize("root", [
+        {"type": "task", "id": "t1", "ann": "ab"},
+        {"type": "task", "id": "t1", "ann": [5]},
+        {"type": "task", "id": 5},
+        {"type": ["seq"], "children": []},
+    ])
+    def test_mistyped_task_fields_rejected(self, root):
+        with pytest.raises(FileFormatError):
+            model_from_dict({"root": root})
+
     def test_non_list_children_rejected(self):
         with pytest.raises(FileFormatError, match="children"):
             model_from_dict({"root": {"type": "seq", "children": "t1"}})
@@ -281,6 +291,35 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, rules, field", [
+        ({"root": {"type": "task", "id": "t1", "ann": "ab"}}, None, "ann"),
+        ({"root": {"type": "task", "id": "t1", "ann": [5]}}, None, "ann"),
+        ({"root": {"type": "task", "id": 5}}, None, "task id"),
+        ({"name": 5, "root": task_dict("t1")}, None, "model name"),
+        (None, {"obligations": [{"kind": "achievement", "requirement": 5,
+                                 "trigger": None, "deadline": None}]},
+         "requirement"),
+        (None, {"obligations": [{"kind": "achievement", "requirement": "a",
+                                 "trigger": ["a"], "deadline": "b"}]},
+         "trigger"),
+        (None, {"obligations": 5}, "obligations"),
+    ], ids=["ann-string", "ann-number", "id-number", "name-number",
+            "requirement-number", "trigger-list", "obligations-number"])
+    def test_mistyped_fields_exit_two(self, tmp_path, capsys, model, rules,
+                                      field):
+        model_path, rules_path = GOLDEN_MODEL, GOLDEN_RULES
+        if model is not None:
+            model_path = tmp_path / "bad.model.json"
+            model_path.write_text(json.dumps(model))
+        if rules is not None:
+            rules_path = tmp_path / "bad.rules.json"
+            rules_path.write_text(json.dumps(rules))
+        code = main(["check", "--model", str(model_path),
+                     "--rules", str(rules_path), "--mode", "full"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and field in err
 
     def test_long_sequence_needs_no_deep_recursion(self, tmp_path, capsys):
         model = tmp_path / "long.model.json"

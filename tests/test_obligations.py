@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wfcheck.formula import Atom, Not, Or, parse_formula
+from wfcheck.formula import (Atom, Not, Or, State, eval_formula,
+                             parse_formula)
+from wfcheck.net import enumerate_traces
 from wfcheck.obligations import (InForceInterval, Kind, NotLocal, NotNested,
-                                 Obligation, RuleSet, classify_variant,
-                                 eval_obligation, eval_restricted,
-                                 in_force_intervals, overlap_reduction,
-                                 trigger_indices)
+                                 Obligation, RuleSet, SatCache,
+                                 classify_variant, eval_obligation,
+                                 eval_restricted, in_force_intervals,
+                                 overlap_reduction, trigger_indices)
+from wfcheck.process import seq, task, validate
 
-from strategies import linear_traces, literals, make_trace
+from strategies import (linear_traces, literals, make_trace, rule_fields,
+                        states)
 
 ROW1 = make_trace(("t1", "a"), ("t3", "c", "d"), ("t4", "-a"))
 ROW2 = make_trace(("t2", "b", "c"), ("t3", "c", "d"), ("t4", "-a"))
@@ -81,6 +85,109 @@ class TestIntervals:
     def test_intervals_start_at_trigger_indices(self, tr, o):
         starts = [iv.start_index for iv in in_force_intervals(tr, o)]
         assert starts == trigger_indices(tr, o)
+
+
+def reference_intervals(tr, o):
+    """Intervals straight from the definition: each trigger scans to the end."""
+    states = tr.states()
+    last = len(states) - 1
+    out = []
+    for i in trigger_indices(tr, o):
+        delta = next((j for j in range(i, last + 1)
+                      if eval_formula(o.deadline, states[j])), last)
+        if o.kind is Kind.MAINTENANCE:
+            ok = all(eval_formula(o.requirement, states[k])
+                     for k in range(i, delta + 1))
+            out.append(InForceInterval(i, delta, ok))
+            continue
+        rho = next((j for j in range(i, last + 1)
+                    if eval_formula(o.requirement, states[j])), None)
+        out.append(InForceInterval(i, rho, True)
+                   if rho is not None and rho <= delta
+                   else InForceInterval(i, delta, False))
+    return out
+
+
+def reference_strict(tr, o):
+    """Strict achievement: some requirement state by the first deadline."""
+    states = tr.states()
+    first = next((j for j, s in enumerate(states)
+                  if eval_formula(o.deadline, s)), None)
+    for i in trigger_indices(tr, o):
+        rho = next((j for j in range(i, len(states))
+                    if eval_formula(o.requirement, states[j])), None)
+        if rho is None or (first is not None and rho > first):
+            return False
+    return True
+
+
+class CountingCache(SatCache):
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "calls", 0)
+
+    def holds(self, f, s):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().holds(f, s)
+
+
+compound_local_obligations = st.builds(
+    Obligation, st.sampled_from(tuple(Kind)), rule_fields(), rule_fields(),
+    rule_fields())
+
+
+class TestLinearIntervals:
+    @given(linear_traces(max_len=14),
+           st.one_of(local_obligations(), compound_local_obligations))
+    def test_intervals_match_the_quadratic_reference(self, tr, o):
+        assert in_force_intervals(tr, o) == reference_intervals(tr, o)
+
+    @given(linear_traces(max_len=14),
+           st.one_of(local_obligations((Kind.ACHIEVEMENT,)),
+                     compound_local_obligations))
+    def test_strict_deadline_matches_the_quadratic_reference(self, tr, o):
+        expected = (reference_strict(tr, o) if o.kind is Kind.ACHIEVEMENT
+                    else all(iv.satisfied
+                             for iv in reference_intervals(tr, o)))
+        assert eval_obligation(tr, o, strict_deadline=True).satisfied \
+            == expected
+
+    @pytest.mark.parametrize("rule, strict", [
+        (ach("b", "a", "d"), False),
+        (mnt("b", "a", "d"), False),
+        (mnt("!b", "a", "d"), False),
+        (ach("b", "a", "d"), True),
+    ])
+    def test_holds_calls_grow_linearly_with_run_length(self, rule, strict):
+        n = 2000
+        m = validate(seq(*(task(f"t{k}", "a" if k % 2 else "-a")
+                           for k in range(n))))
+        ((_, tr),) = enumerate_traces(m)
+        cache = CountingCache()
+        eval_obligation(tr, rule, strict, cache)
+        assert cache.calls <= 6 * len(tr.steps)
+
+
+class TestSatCache:
+    @given(st.lists(states(), min_size=1, max_size=6))
+    def test_equal_formulas_that_are_distinct_objects_agree(self, ss):
+        f1, f2 = parse_formula("a & !b | c"), parse_formula("a & !b | c")
+        assert f1 == f2 and f1 is not f2
+        cache = SatCache()
+        for s in ss:
+            assert cache.holds(f1, s) == cache.holds(f2, s) \
+                == eval_formula(f1, s)
+
+    def test_short_lived_formulas_never_get_a_stale_answer(self):
+        cache = SatCache()
+        s = State.of("a")
+        for k in range(5000):
+            # each formula is dropped right after its lookup, so without the
+            # cache holding it, the next one could be built at its address
+            expected = k % 2 == 0
+            f = Atom("a" if expected else "b")
+            assert cache.holds(f, s) is expected
+            del f
 
 
 class TestEvalObligation:

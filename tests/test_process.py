@@ -9,7 +9,8 @@ from strategies import models
 from wfcheck.formula import State
 from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, Marking,
                          NotEnabled, Trace, compile_to_net, derive_trace,
-                         enabled, enumerate_executions, fire, replay)
+                         enabled, enumerate_executions, enumerate_traces,
+                         fire, replay)
 from wfcheck.process import (AndBlock, DuplicateTaskId, EmptyBlock,
                              InconsistentAnnotation, InvalidTaskId, Seq, Task,
                              TaskBlock, and_, count_executions, seq, task,
@@ -151,6 +152,25 @@ class TestEnumeration:
         first = [e.task_ids() for e in enumerate_executions(example_model)]
         second = [e.task_ids() for e in enumerate_executions(example_model)]
         assert first == second
+
+    def test_trace_cap_enforced_before_enumerating(self, example_model):
+        with pytest.raises(ExecutionCapExceeded):
+            enumerate_traces(example_model, cap=3)
+
+
+class TestFoldedTraces:
+    @given(models())
+    def test_traces_equal_the_reference_fold(self, m):
+        assume(count_executions(m.root) <= 2_000)
+        pairs = list(enumerate_traces(m))
+        assert [e for e, _ in pairs] == list(enumerate_executions(m))
+        for execution, trace in pairs:
+            assert trace == derive_trace(m, execution)
+
+    def test_runs_sharing_a_prefix_share_its_states(self, example_model):
+        first, second = [tr for _, tr in enumerate_traces(example_model)][2:]
+        # start,t3 is folded once for both runs that begin with it
+        assert first.steps[1][1] is second.steps[1][1]
 
 
 def structural_runs(block):
