@@ -102,6 +102,12 @@ def _fastpath_records(n_min: int, n_max: int) -> list[BenchRecord]:
 def run_bench(suite: str, n_min: int, n_max: int,
               out: str | Path | None = None) -> list[BenchRecord]:
     """Run one suite over [n_min, n_max] and optionally write a CSV."""
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"need 1 <= n-min <= n-max, got n-min {n_min} "
+                         f"and n-max {n_max}")
+    if suite == "reduction" and n_max > len(string.ascii_lowercase):
+        raise ValueError(f"the reduction suite has 26 atoms, got n-max "
+                         f"{n_max}")
     if suite == "reduction":
         records = _reduction_records(n_min, n_max)
     elif suite == "fastpath":

@@ -68,40 +68,38 @@ def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
     return None, examined
 
 
+def _report(mode: str, model: Model, rules: RuleSet, cap: int,
+            strict_deadline: bool) -> ComplianceReport:
+    """Scan for the trace that decides the mode: a violating one for full,
+    a complying one for partial and non."""
+    found, examined = _scan(model, rules, mode != "full", cap,
+                            strict_deadline)
+    return ComplianceReport(
+        mode=mode,
+        verdict=(found is not None) == (mode == "partial"),
+        witness=None if found is None else Witness.from_trace(found),
+        traces_examined=examined)
+
+
 def check_full(model: Model, rules: RuleSet, jobs: int = 1,
                cap: int = DEFAULT_CAP,
                strict_deadline: bool = False) -> ComplianceReport:
     """Every trace complies; a violating trace is reported otherwise."""
-    violator, examined = _scan(model, rules, False, cap, strict_deadline)
-    return ComplianceReport(
-        mode="full",
-        verdict=violator is None,
-        witness=None if violator is None else Witness.from_trace(violator),
-        traces_examined=examined)
+    return _report("full", model, rules, cap, strict_deadline)
 
 
 def check_partial(model: Model, rules: RuleSet, jobs: int = 1,
                   cap: int = DEFAULT_CAP,
                   strict_deadline: bool = False) -> ComplianceReport:
     """Some trace complies; the first such trace is the witness."""
-    complier, examined = _scan(model, rules, True, cap, strict_deadline)
-    return ComplianceReport(
-        mode="partial",
-        verdict=complier is not None,
-        witness=None if complier is None else Witness.from_trace(complier),
-        traces_examined=examined)
+    return _report("partial", model, rules, cap, strict_deadline)
 
 
 def check_non(model: Model, rules: RuleSet, jobs: int = 1,
               cap: int = DEFAULT_CAP,
               strict_deadline: bool = False) -> ComplianceReport:
     """No trace complies; a complying trace refutes this."""
-    partial = check_partial(model, rules, jobs, cap, strict_deadline)
-    return ComplianceReport(
-        mode="non",
-        verdict=not partial.verdict,
-        witness=partial.witness,
-        traces_examined=partial.traces_examined)
+    return _report("non", model, rules, cap, strict_deadline)
 
 
 def run_check(model: Model, rules: RuleSet, mode: str, engine: str = "brute",

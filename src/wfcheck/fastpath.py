@@ -10,12 +10,14 @@ the run enumerator's frontier step, memoising (residual, automaton state)
 pairs, and refused when they admit more runs than a cap; choice-heavy
 models — where brute force blows up — stay polynomial.
 
-Two automata are used.  The per-instance one tracks the interval opened by
-one designated trigger task and answers whether that interval can be
-satisfied or violated in some run.  The whole-run one tracks the pool of
-currently open intervals — open intervals of the same rule always agree on
-the two truth values, so they resolve together and a single "pool open"
-bit suffices — and answers partial and full compliance exactly.
+One automaton answers every query.  Given a set of trigger tasks, its
+state holds the truth of the requirement and deadline literals, whether
+some trigger has fired, whether intervals are open, or that one was
+violated.  Open intervals of the same rule always agree on the two truth
+values, so they resolve together and a single "pool open" bit suffices.
+With every trigger task in the set, the states a run can end in decide
+partial and full compliance exactly.  With the set {x}, the endings of the
+runs where x fired tell whether x's interval can be satisfied or violated.
 
 The structural `erase` operation removes tasks from a model such that the
 surviving runs are exactly the original runs avoiding them; together with
@@ -74,30 +76,36 @@ def require_single_local_literal(rs: RuleSet) -> Obligation:
     return rs.obligations[0]
 
 
-def _require_local_literals(o: Obligation) -> tuple[Literal, Literal, Literal]:
+def trigger_transitions(m: Model, o: Obligation) -> list[Task]:
+    """Tasks whose annotation satisfies the trigger, in declaration order."""
     if o.is_global:
         raise NotLiteralVariant("rule has no trigger: nothing to anchor at")
     if not o.literal_fields():
         raise NotLiteralVariant(
             "requirement, trigger and deadline must all be literals")
-    return (formula_to_literal(o.requirement),
-            formula_to_literal(o.trigger),
-            formula_to_literal(o.deadline))
-
-
-def trigger_transitions(m: Model, o: Obligation) -> list[Task]:
-    """Tasks whose annotation satisfies the trigger, in declaration order."""
-    _require_local_literals(o)
     return [t for t in m.tasks() if eval_formula(o.trigger, t.annotation)]
 
 
+def _trigger_ids(m: Model, o: Obligation) -> frozenset[str]:
+    return frozenset(t.id for t in trigger_transitions(m, o))
+
+
 # ---------------------------------------------------------------------------
-# automata
+# the automaton
 #
-# Both automata carry the current truth of the requirement and deadline
-# literals as two bits; annotations flip a bit when they assert the atom,
-# otherwise the old value persists — exactly the state-update semantics
-# projected onto one atom.
+# States 0..15 carry four bits.  Requirement and deadline hold the current
+# truth of the two literals; an annotation sets a bit when it asserts the
+# atom, otherwise the old value persists — exactly the state-update
+# semantics projected onto one atom.  "Fired" records that some trigger in
+# the set has fired.  "Pool open" records that intervals are open: open
+# intervals of one rule always agree on the two truth values, so they
+# resolve together and one bit covers them all.  _DEAD is absorbing: some
+# interval was violated.  Only a fired trigger opens one, so _DEAD carries
+# the fired bit too.
+
+_POOL, _FIRED, _DEADLINE, _REQUIREMENT = 1, 2, 4, 8
+_DEAD = 16 | _FIRED
+
 
 def _truth_after(lit: Literal, ann, current: bool) -> bool:
     if Literal(lit.atom, True) in ann:
@@ -107,49 +115,14 @@ def _truth_after(lit: Literal, ann, current: bool) -> bool:
     return current
 
 
-# Per-instance automaton.  States 0..3: the designated trigger has not
-# fired, bits = (requirement, deadline).  4..7: its interval is open.
-# 8: satisfied, 9: violated.
-
-_SAT = 8
-_VIO = 9
-
-
-def _instance_step(state: int, task: Task, x_id: str, kind: Kind,
-                   rho: Literal, delta: Literal) -> int:
-    if state >= _SAT:
-        return state
-    open_interval = state >= 4
-    rt = _truth_after(rho, task.annotation, bool(state & 2))
-    dt = _truth_after(delta, task.annotation, bool(state & 1))
-    if open_interval or task.id == x_id:
-        if kind is Kind.ACHIEVEMENT:
-            if rt:
-                return _SAT
-            if dt:
-                return _VIO
-        else:
-            if not rt:
-                return _VIO
-            if dt:
-                return _SAT
-        return 4 + rt * 2 + dt
-    return rt * 2 + dt
-
-
-# Whole-run automaton.  States 0..7: bits (requirement, deadline, pool
-# open); 8: some interval already violated (absorbing, run not compliant).
-
-_DEAD = 8
-
-
 def _run_step(state: int, task: Task, trigger_ids: frozenset[str],
               kind: Kind, rho: Literal, delta: Literal) -> int:
     if state == _DEAD:
         return _DEAD
-    rt = _truth_after(rho, task.annotation, bool(state & 4))
-    dt = _truth_after(delta, task.annotation, bool(state & 2))
-    pool = bool(state & 1) or task.id in trigger_ids
+    rt = _truth_after(rho, task.annotation, bool(state & _REQUIREMENT))
+    dt = _truth_after(delta, task.annotation, bool(state & _DEADLINE))
+    fires = task.id in trigger_ids
+    pool = bool(state & _POOL) or fires
     if pool:
         if kind is Kind.ACHIEVEMENT:
             if rt:
@@ -161,7 +134,8 @@ def _run_step(state: int, task: Task, trigger_ids: frozenset[str],
                 return _DEAD
             if dt:
                 pool = False
-    return rt * 4 + dt * 2 + pool
+    fired = fires or bool(state & _FIRED)
+    return rt * _REQUIREMENT + dt * _DEADLINE + fired * _FIRED + pool
 
 
 def _reach(block: ProcessBlock, states: frozenset[int],
@@ -202,57 +176,15 @@ def _reach(block: ProcessBlock, states: frozenset[int],
     raise TypeError(f"not a process block: {block!r}")
 
 
-def _initial_bits(rho: Literal, delta: Literal) -> tuple[bool, bool]:
-    # empty starting state: atoms are false, so negative literals hold
-    return (not rho.positive, not delta.positive)
-
-
-def _instance_outcomes(m: Model, o: Obligation, x: Task,
-                       and_cap: int) -> frozenset[int]:
-    rho, _, delta = _require_local_literals(o)
-    if not any(t.id == x.id for t in trigger_transitions(m, o)):
-        raise ValueError(f"{x.id!r} is not a trigger task of this rule")
-    rt, dt = _initial_bits(rho, delta)
-    start = rt * 2 + dt
-
-    def step(s: int, task: Task) -> int:
-        return _instance_step(s, task, x.id, o.kind, rho, delta)
-
-    return _reach(m.root, frozenset((start,)), step, and_cap)
-
-
-def instance_satisfiable(m: Model, o: Obligation, x: Task,
-                         and_cap: int = DEFAULT_AND_CAP) -> bool:
-    """Can some run containing x satisfy the interval x opens?"""
-    out = _instance_outcomes(m, o, x, and_cap)
-    if _SAT in out:
-        return True
-    # interval still open when the run ends: the final state counts as
-    # the deadline, which satisfies maintenance and fails achievement
-    return o.kind is Kind.MAINTENANCE and any(4 <= s < _SAT for s in out)
-
-
-def instance_violable(m: Model, o: Obligation, x: Task,
-                      and_cap: int = DEFAULT_AND_CAP) -> bool:
-    """Can some run containing x violate the interval x opens?"""
-    out = _instance_outcomes(m, o, x, and_cap)
-    if _VIO in out:
-        return True
-    return o.kind is Kind.ACHIEVEMENT and any(4 <= s < _SAT for s in out)
-
-
-def label_triggers(m: Model, o: Obligation,
-                   and_cap: int = DEFAULT_AND_CAP) -> list[TriggerAnalysis]:
-    """Per-trigger satisfiability labelling, in declaration order."""
-    return [TriggerAnalysis(x, instance_satisfiable(m, o, x, and_cap))
-            for x in trigger_transitions(m, o)]
-
-
-def _run_endings(m: Model, o: Obligation, and_cap: int) -> frozenset[int]:
-    rho, _, delta = _require_local_literals(o)
-    trigger_ids = frozenset(t.id for t in trigger_transitions(m, o))
-    rt, dt = _initial_bits(rho, delta)
-    start = rt * 4 + dt * 2
+def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
+             and_cap: int) -> frozenset[int]:
+    """States the automaton ends some run of m in; o is already known to
+    be a local literal rule."""
+    rho = formula_to_literal(o.requirement)
+    delta = formula_to_literal(o.deadline)
+    # the empty starting state makes atoms false, so negative literals hold
+    start = ((not rho.positive) * _REQUIREMENT
+             + (not delta.positive) * _DEADLINE)
 
     def step(s: int, task: Task) -> int:
         return _run_step(s, task, trigger_ids, o.kind, rho, delta)
@@ -263,23 +195,52 @@ def _run_endings(m: Model, o: Obligation, and_cap: int) -> frozenset[int]:
 def _ending_complies(state: int, kind: Kind) -> bool:
     if state == _DEAD:
         return False
-    if state & 1:  # intervals still open at the final state
+    if state & _POOL:  # intervals still open: the final state is the deadline
         return kind is Kind.MAINTENANCE
     return True
+
+
+def _interval_outcomes(m: Model, o: Obligation, x: Task,
+                       and_cap: int) -> set[bool]:
+    """Whether x's interval is satisfied, over the runs containing x."""
+    if x.id not in _trigger_ids(m, o):
+        raise ValueError(f"{x.id!r} is not a trigger task of this rule")
+    return {_ending_complies(s, o.kind)
+            for s in _endings(m, o, frozenset((x.id,)), and_cap)
+            if s & _FIRED}
+
+
+def instance_satisfiable(m: Model, o: Obligation, x: Task,
+                         and_cap: int = DEFAULT_AND_CAP) -> bool:
+    """Can some run containing x satisfy the interval x opens?"""
+    return True in _interval_outcomes(m, o, x, and_cap)
+
+
+def instance_violable(m: Model, o: Obligation, x: Task,
+                      and_cap: int = DEFAULT_AND_CAP) -> bool:
+    """Can some run containing x violate the interval x opens?"""
+    return False in _interval_outcomes(m, o, x, and_cap)
+
+
+def label_triggers(m: Model, o: Obligation,
+                   and_cap: int = DEFAULT_AND_CAP) -> list[TriggerAnalysis]:
+    """Per-trigger satisfiability labelling, in declaration order."""
+    return [TriggerAnalysis(x, instance_satisfiable(m, o, x, and_cap))
+            for x in trigger_transitions(m, o)]
 
 
 def partial_compliant_fast(m: Model, o: Obligation,
                            and_cap: int = DEFAULT_AND_CAP) -> bool:
     """True iff some run satisfies every interval it opens."""
     return any(_ending_complies(s, o.kind)
-               for s in _run_endings(m, o, and_cap))
+               for s in _endings(m, o, _trigger_ids(m, o), and_cap))
 
 
 def full_compliant_fast(m: Model, o: Obligation,
                         and_cap: int = DEFAULT_AND_CAP) -> bool:
     """True iff every run satisfies every interval it opens."""
     return all(_ending_complies(s, o.kind)
-               for s in _run_endings(m, o, and_cap))
+               for s in _endings(m, o, _trigger_ids(m, o), and_cap))
 
 
 def _erase_block(block: ProcessBlock,

@@ -30,7 +30,6 @@ class NotNested(ValueError):
     """overlap_reduction needs one interval properly inside the other."""
 
 
-@dataclass(frozen=True)
 class SatCache:
     """Memo for formula-over-state checks; one engine run shares one.
 
@@ -41,11 +40,8 @@ class SatCache:
     distinct objects just get tables of their own.
     """
 
-    memo: dict = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.memo is None:
-            object.__setattr__(self, "memo", {})
+    def __init__(self):
+        self.memo: dict = {}
 
     def holds(self, f: Formula, s: State) -> bool:
         entry = self.memo.get(id(f))
@@ -183,19 +179,15 @@ def eval_obligation(tr: Trace, o: Obligation, strict_deadline: bool = False,
     intervals = in_force_intervals(tr, o, cache)
     if (strict_deadline and o.kind is Kind.ACHIEVEMENT
             and not o.is_global):
-        # a requirement counts only up to the first deadline of the trace
+        # a requirement counts only up to the first deadline of the trace;
+        # an interval opened at or before it already ends there, and one
+        # opened after it cannot be satisfied
         states = tr.states()
         bound = next((j for j, s in enumerate(states)
                       if cache.holds(o.deadline, s)), len(states) - 1)
-        checked = []
-        k = 0
-        for iv in intervals:
-            k = max(k, iv.start_index)
-            while k <= bound and not cache.holds(o.requirement, states[k]):
-                k += 1
-            checked.append(InForceInterval(iv.start_index, iv.end_index,
-                                           k <= bound))
-        intervals = checked
+        intervals = [iv if iv.start_index <= bound else
+                     InForceInterval(iv.start_index, iv.end_index, False)
+                     for iv in intervals]
     for iv in intervals:
         if not iv.satisfied:
             return ObligationResult(False, iv)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .engine import check_full
-from .formula import (Formula, Interpretation, Literal, State, atoms,
-                      format_formula, tautology_truth_table)
+from .formula import (Formula, Interpretation, State, atoms, format_formula,
+                      tautology_truth_table)
 from .net import enumerate_traces
 from .obligations import Kind, Obligation, RuleSet
 from .process import Model, seq, task, validate, xor

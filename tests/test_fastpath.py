@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strategies import literals, models
 
-from wfcheck.engine import check_full, check_partial
+from wfcheck.engine import check_full, check_partial, run_check
 from wfcheck.fastpath import (ROOT_REMOVED, NotLiteralVariant, RootRemoved,
                               Survives, TriggerAnalysis, WrongVariant, erase,
                               full_compliant_fast, instance_satisfiable,
@@ -16,10 +16,17 @@ from wfcheck.fastpath import (ROOT_REMOVED, NotLiteralVariant, RootRemoved,
                               require_single_local_literal,
                               trigger_transitions)
 from wfcheck.formula import Or, parse_formula
+from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.net import (ExecutionCapExceeded, derive_trace,
                          enumerate_executions)
-from wfcheck.obligations import (Kind, Obligation, RuleSet, eval_restricted)
+from wfcheck.obligations import (Kind, Obligation, RuleSet, VariantTag,
+                                 eval_restricted)
 from wfcheck.process import and_, count_executions, seq, task, validate, xor
+
+LOCAL_LITERAL = VariantTag(single=True, global_scope=False, literal_only=True)
+ALL_TAGS = [VariantTag(single, global_scope, literal_only)
+            for single in (True, False) for global_scope in (True, False)
+            for literal_only in (True, False)]
 
 
 def lit_rule(kind, rho, tau, delta):
@@ -110,20 +117,32 @@ class TestInstanceAnalysis:
         labels = label_triggers(example_model, o)
         assert [(l.task.id, l.satisfiable) for l in labels] == [("t1", False)]
 
-    @settings(max_examples=30)
-    @given(models(max_tasks=5), single_local_literal_rules())
-    def test_agrees_with_trace_enumeration(self, m, o):
+    @staticmethod
+    def assert_agrees_with_trace_enumeration(m, o):
         traces = [derive_trace(m, e) for e in enumerate_executions(m)]
         for x in trigger_transitions(m, o):
             containing = [tr for tr in traces if x.id in tr.task_ids()]
             sat = any(eval_restricted(tr, o, {x.id}) for tr in containing)
             vio = any(not eval_restricted(tr, o, {x.id})
                       for tr in containing)
-            try:
-                assert instance_satisfiable(m, o, x) == sat
-                assert instance_violable(m, o, x) == vio
-            except ExecutionCapExceeded:
-                assume(False)
+            assert instance_satisfiable(m, o, x) == sat
+            assert instance_violable(m, o, x) == vio
+
+    @settings(max_examples=30)
+    @given(models(max_tasks=5), single_local_literal_rules())
+    def test_agrees_with_trace_enumeration(self, m, o):
+        try:
+            self.assert_agrees_with_trace_enumeration(m, o)
+        except ExecutionCapExceeded:
+            assume(False)
+
+    @pytest.mark.parametrize("first_seed", range(0, 200, 50))
+    def test_generated_models_agree_with_trace_enumeration(self, first_seed):
+        for seed in range(first_seed, first_seed + 50):
+            cfg = GeneratorConfig(seed=seed, max_tasks=10, atom_pool=6,
+                                  variant=LOCAL_LITERAL)
+            m, rs = generate_instance(cfg)
+            self.assert_agrees_with_trace_enumeration(m, rs.obligations[0])
 
 
 class TestErase:
@@ -187,6 +206,19 @@ class TestVariantGate:
         with pytest.raises(WrongVariant) as err:
             require_single_local_literal(rules)
         assert err.value.variant == tag
+
+    @pytest.mark.parametrize("mode", ("full", "partial", "non"))
+    @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+    def test_run_check_gate_on_generated_instances(self, tag, mode):
+        for seed in range(10):
+            m, rs = generate_instance(GeneratorConfig(seed=seed, variant=tag))
+            if tag == LOCAL_LITERAL:
+                fast = run_check(m, rs, mode, engine="fast")
+                assert fast.verdict == run_check(m, rs, mode).verdict
+            else:
+                with pytest.raises(WrongVariant) as err:
+                    run_check(m, rs, mode, engine="fast")
+                assert err.value.variant == str(tag)
 
 
 class TestWholeModelChecks:

@@ -391,11 +391,19 @@ class TestBench:
             assert pair["fast"].traces == 0
             assert pair["brute"].verdict == pair["fast"].verdict
 
-    def test_empty_range_writes_header_only(self, tmp_path, capsys):
-        out = tmp_path / "empty.csv"
-        assert main(["bench", "--suite", "reduction", "--n-min", "5",
-                     "--n-max", "4", "--out", str(out)]) == 0
-        assert out.read_text() == "instance,engine,n,wall_ms,traces,verdict\n"
+    @pytest.mark.parametrize("suite,n_min,n_max", [
+        pytest.param("reduction", "0", "2", id="zero"),
+        pytest.param("reduction", "-3", "2", id="negative"),
+        pytest.param("reduction", "25", "27", id="past-26-atoms"),
+        pytest.param("fastpath", "3", "1", id="reversed"),
+    ])
+    def test_bad_n_range_exits_two(self, tmp_path, capsys, suite, n_min,
+                                   n_max):
+        out = tmp_path / "bad.csv"
+        assert main(["bench", "--suite", suite, "--n-min", n_min,
+                     "--n-max", n_max, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
