@@ -30,8 +30,6 @@ from .reduction import build_interpretation_model, verify_reduction_steps
 def _cmd_check(args) -> int:
     model = load_model(args.model)
     rules = load_rules(args.rules)
-    if args.engine == "fast" and args.strict_deadline:
-        raise ValueError("--strict-deadline needs the brute engine")
     report = run_check(model, rules, args.mode, engine=args.engine,
                        jobs=args.jobs, cap=args.cap,
                        strict_deadline=args.strict_deadline)
@@ -54,8 +52,8 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _format_row(execution, trace) -> str:
-    ids = ",".join(execution.task_ids())
+def _format_row(trace) -> str:
+    ids = ",".join(trace.task_ids())
     states = ", ".join(str(s) for s in trace.states())
     return f"{ids} | {states}"
 
@@ -67,8 +65,8 @@ def _cmd_enumerate(args) -> int:
     else:
         runs = itertools.islice(
             enumerate_traces(model, cap=sys.maxsize), args.limit)
-    for execution, trace in runs:
-        print(_format_row(execution, trace))
+    for trace in runs:
+        print(_format_row(trace))
     return 0
 
 

@@ -61,7 +61,7 @@ def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
     """First trace whose compliance equals want, plus the examined count."""
     cache = SatCache()
     examined = 0
-    for _, trace in enumerate_traces(model, cap):
+    for trace in enumerate_traces(model, cap):
         examined += 1
         if trace_complies(trace, rules, strict_deadline, cache) == want:
             return trace, examined
@@ -105,7 +105,8 @@ def check_non(model: Model, rules: RuleSet, jobs: int = 1,
 def run_check(model: Model, rules: RuleSet, mode: str, engine: str = "brute",
               jobs: int = 1, cap: int = DEFAULT_CAP,
               strict_deadline: bool = False) -> ComplianceReport:
-    """Dispatch a mode/engine pair; the fast engine needs a 1L- rule set."""
+    """Dispatch a mode/engine pair; the fast engine needs a 1L- rule set
+    and reads deadlines the default way only."""
     if mode not in ("full", "partial", "non"):
         raise ValueError(f"unknown mode {mode!r}")
     if engine == "brute":
@@ -114,6 +115,8 @@ def run_check(model: Model, rules: RuleSet, mode: str, engine: str = "brute",
         return checker(model, rules, jobs, cap, strict_deadline)
     if engine != "fast":
         raise ValueError(f"unknown engine {engine!r}")
+    if strict_deadline:
+        raise ValueError("--strict-deadline needs the brute engine")
     from .fastpath import (full_compliant_fast, partial_compliant_fast,
                            require_single_local_literal)
     obligation = require_single_local_literal(rules)

@@ -33,7 +33,7 @@ from .formula import Literal, eval_formula, formula_to_literal
 from .net import ExecutionCapExceeded
 from .obligations import Kind, Obligation, RuleSet, classify_variant
 from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
-                      Xor, and_numbers, count_executions, frontier, validate)
+                      Xor, count_executions, frontier, validate)
 
 DEFAULT_AND_CAP = 4096
 
@@ -158,16 +158,15 @@ def _reach(block: ProcessBlock, states: frozenset[int],
             raise ExecutionCapExceeded(total, cap)
         # depth-first over (residual, automaton state) pairs: interleavings
         # that reach the same pair share everything after it
-        numbers = and_numbers(block)
         out = set()
         stack = [(block, s) for s in states]
         seen = set(stack)
         while stack:
             residual, s = stack.pop()
-            moves = frontier(residual, numbers)
+            moves = frontier(residual)
             if not moves:
                 out.add(s)
-            for task, after, _ in moves:
+            for task, after in moves:
                 pair = (after, step(s, task))
                 if pair not in seen:
                     seen.add(pair)

@@ -5,7 +5,9 @@ start/end wrapper is re-created on load, so load(dump(m)) rebuilds an
 equal model.  Rule files hold formula strings in the parser's syntax, a
 null trigger/deadline pair meaning the rule is in force globally.  Field
 types are checked on load, so a malformed file raises FileFormatError
-rather than an error from deep inside the constructors.
+rather than an error from deep inside the constructors.  Block trees may
+nest at most MAX_DEPTH blocks deep, so that loading, validation and both
+engines stay within Python's default recursion limit.
 """
 from __future__ import annotations
 
@@ -20,8 +22,15 @@ from .process import (AndBlock, InconsistentAnnotation, Model, ProcessBlock,
                       Seq, Task, TaskBlock, Xor, validate)
 
 
+MAX_DEPTH = 400
+
+
 class FileFormatError(ValueError):
     """The JSON is well-formed but does not describe a valid object."""
+
+
+class ModelTooDeep(FileFormatError):
+    """Blocks nest more than MAX_DEPTH deep, or JSON too deep to decode."""
 
 
 def _string(value, what: str) -> str:
@@ -39,7 +48,9 @@ def _block_to_dict(block: ProcessBlock) -> dict:
             "children": [_block_to_dict(c) for c in block.children]}
 
 
-def _block_from_dict(obj) -> ProcessBlock:
+def _block_from_dict(obj, depth: int = 1) -> ProcessBlock:
+    if depth > MAX_DEPTH:
+        raise ModelTooDeep(f"block tree nests more than {MAX_DEPTH} deep")
     if not isinstance(obj, dict) or "type" not in obj:
         raise FileFormatError(f"expected a block object, got {obj!r}")
     kind = obj["type"]
@@ -65,7 +76,7 @@ def _block_from_dict(obj) -> ProcessBlock:
     children = obj.get("children", [])
     if not isinstance(children, list):
         raise FileFormatError("children must be a list")
-    return ctor(tuple(_block_from_dict(c) for c in children))
+    return ctor(tuple(_block_from_dict(c, depth + 1) for c in children))
 
 
 def model_to_dict(m: Model) -> dict:
@@ -79,8 +90,16 @@ def model_from_dict(obj) -> Model:
                     name=_string(obj.get("name", "model"), "model name"))
 
 
+def _load_json(path):
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except RecursionError:
+        raise ModelTooDeep(
+            f"{path}: JSON nests more than {MAX_DEPTH} deep") from None
+
+
 def load_model(path) -> Model:
-    return model_from_dict(json.loads(Path(path).read_text("utf-8")))
+    return model_from_dict(_load_json(path))
 
 
 def dump_model(m: Model, path) -> None:
@@ -129,7 +148,7 @@ def rules_from_dict(obj) -> RuleSet:
 
 
 def load_rules(path) -> RuleSet:
-    return rules_from_dict(json.loads(Path(path).read_text("utf-8")))
+    return rules_from_dict(_load_json(path))
 
 
 def dump_rules(rs: RuleSet, path) -> None:

@@ -2,23 +2,23 @@
 
 Compilation is structural: tasks become transitions between two places, seq
 children share intermediate places, xor branches share their entry and exit
-places, and each and-block gets a silent fork and join pair.  Silent
-transitions carry empty annotations and are dropped from reported runs, so
-a reported execution lists exactly the model's tasks in firing order.
+places, and each and-block gets a silent fork and join pair.  The net is
+the reference semantics that tests explore; runs are not found by walking
+it.
 
-The net is the reference semantics; runs are not found by walking it.
-Enumeration is a depth-first search over the block tree's frontier
-(``process.frontier``), the same step the fast engine explores and-blocks
-with.  It branches on the tasks that can fire next, ordered by id, so it
-yields every distinct task-level run exactly once, in lexicographic order
-of task ids.  Each run's firing sequence places every silent fork and join
-right before the first task that needs it, and replays on the net.
+A run is the sequence of the model's tasks in firing order; silent
+transitions are not part of it.  Enumeration is a depth-first search over
+the block tree's frontier (``process.frontier``), the same step the fast
+engine explores and-blocks with.  It branches on the tasks that can fire
+next, ordered by id, so it yields every distinct run exactly once, in
+lexicographic order of task ids.
 
 The walk folds task annotations into states as it goes: each edge of the
-search pushes the state after its task and pops it on the way back, so a
-prefix that many runs share is folded once, not once per run.
-``enumerate_traces`` yields each run with that trace; ``derive_trace``
-folds one run from the empty state and is the reference it must equal.
+search pushes the step with the state after its task and pops it on the
+way back, so a prefix that many runs share is folded once, not once per
+run.  ``enumerate_traces`` yields each run as that trace;
+``derive_trace`` folds one run from the empty state and is the reference
+it must equal.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .formula import EMPTY_STATE, State, update
 from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
-                      Xor, and_numbers, count_executions, frontier)
+                      Xor, count_executions, frontier)
 
 SOURCE_PLACE = "i"
 SINK_PLACE = "o"
@@ -89,15 +89,9 @@ class WFNet:
 
 @dataclass(frozen=True)
 class Execution:
-    """One complete run: the model's tasks in firing order.
-
-    ``firing`` is the full transition sequence including the silent fork and
-    join steps, kept for replay; ``steps`` is what the run looks like at the
-    task level and is what states are derived from.
-    """
+    """One complete run: the model's tasks in firing order."""
 
     steps: tuple[Task, ...]
-    firing: tuple[str, ...]
 
     def task_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.steps)
@@ -203,9 +197,9 @@ def fire(net: WFNet, marking: Marking, t: Task) -> Marking:
 
 
 def enumerate_traces(model: Model,
-                     cap: int = DEFAULT_CAP) -> Iterator[tuple[Execution,
-                                                                Trace]]:
-    """Yield every run with its trace, in enumerate_executions' order."""
+                     cap: int = DEFAULT_CAP) -> Iterator[Trace]:
+    """Yield every run exactly once as a trace, depth-first, next task
+    ordered by id."""
     total = count_executions(model.root)
     if total > cap:
         raise ExecutionCapExceeded(total, cap)
@@ -214,39 +208,28 @@ def enumerate_traces(model: Model,
 
 def enumerate_executions(model: Model,
                          cap: int = DEFAULT_CAP) -> Iterator[Execution]:
-    """Yield every run exactly once, depth-first, next task ordered by id."""
-    return (execution for execution, _ in enumerate_traces(model, cap))
+    """The runs of enumerate_traces, in its order, without their states."""
+    return (Execution(trace.tasks()) for trace in enumerate_traces(model, cap))
 
 
-def _walk(root: ProcessBlock) -> Iterator[tuple[Execution, Trace]]:
-    numbers = and_numbers(root)
-    steps: list[Task] = []
-    states: list[State] = []  # the state after each step
-    firing: list[str] = []
-    marks: list[int] = []  # len(firing) before each step
-    stack = [iter(frontier(root, numbers))]
+def _walk(root: ProcessBlock) -> Iterator[Trace]:
+    steps: list[tuple[Task, State]] = []  # each task with the state after it
+    stack = [iter(frontier(root))]
     while stack:
         move = next(stack[-1], None)
         if move is None:
             stack.pop()
         else:
-            task, after, silent = move
-            marks.append(len(firing))
-            states.append(update(states[-1] if states else EMPTY_STATE,
-                                 task.annotation))
-            steps.append(task)
-            firing.extend(silent)
-            firing.append(task.id)
-            moves = frontier(after, numbers)
+            task, after = move
+            state = steps[-1][1] if steps else EMPTY_STATE
+            steps.append((task, update(state, task.annotation)))
+            moves = frontier(after)
             if moves:
                 stack.append(iter(moves))
                 continue
-            yield (Execution(tuple(steps), tuple(firing)),
-                   Trace(tuple(zip(steps, states))))
+            yield Trace(tuple(steps))
         if steps:  # take back the step just finished with
             steps.pop()
-            states.pop()
-            del firing[marks.pop():]
 
 
 def derive_trace(model: Model, execution: Execution) -> Trace:

@@ -186,66 +186,28 @@ def count_executions(block: ProcessBlock) -> int:
 # ---------------------------------------------------------------------------
 # Residuals: what is left to run of a block once a run prefix has fired.
 #
-# A residual is an unstarted block, a Seq whose first child is a residual
-# and whose other children are unstarted, a Par (an and-block whose fork
-# has fired), or Joined (nothing left).  Every block runs at least one
-# task, so the frontier of a Seq is the frontier of its first child.
-#
-# The silent steps are those of compile_to_net: and-block N (pre-order,
-# from 1) forks as __forkN right before its first task, and joins as
-# __joinN right before the first task after it.  A finished branch's joins
-# wait in its Joined until that task fires.
+# A residual is itself a block tree: an unstarted block, a Seq whose first
+# child is a residual and whose other children are unstarted, or an
+# AndBlock of the residuals of a started and-block's unfinished branches.
+# DONE, the and-block with no branch left, is a finished residual.  So
+# residuals are purely structural, and count_executions counts their
+# completions.  Every block of a model runs at least one task, so the
+# frontier of a Seq is the frontier of its first child.
+
+DONE = AndBlock(())
+
+Move = tuple[Task, ProcessBlock]
 
 
-@dataclass(frozen=True)
-class Par:
-    """An and-block whose fork has fired, with one residual per branch."""
-
-    number: int
-    children: tuple["Residual", ...]
-
-
-@dataclass(frozen=True)
-class Joined:
-    """A finished residual; ``joins`` still fire, innermost first."""
-
-    joins: tuple[str, ...] = ()
-
-
-DONE = Joined()
-
-Residual = Union[ProcessBlock, Par, Joined]
-Move = tuple[Task, Residual, tuple[str, ...]]
-
-
-def and_numbers(block: ProcessBlock) -> dict[int, int]:
-    """Pre-order number of each and-block, keyed by the block's id().
-
-    Keys are identities because hashing a block hashes its whole subtree.
-    """
-    numbers: dict[int, int] = {}
-    stack = [block]
-    while stack:
-        b = stack.pop()
-        if isinstance(b, AndBlock):
-            numbers[id(b)] = len(numbers) + 1
-        if not isinstance(b, TaskBlock):
-            stack.extend(reversed(b.children))
-    return numbers
-
-
-def frontier(residual: Residual, numbers: dict[int, int]) -> list[Move]:
-    """The tasks that can fire next, ordered by task id.
-
-    Each move is (task, residual left after it, silent ids fired just
-    before it).  ``numbers`` is ``and_numbers`` of the enclosing tree.
-    """
-    moves = _frontier(residual, numbers)
+def frontier(residual: ProcessBlock) -> list[Move]:
+    """The tasks that can fire next, ordered by task id, each with the
+    residual left after it."""
+    moves = _frontier(residual)
     moves.sort(key=lambda move: move[0].id)
     return moves
 
 
-def _then(after: Residual, rest: tuple[ProcessBlock, ...]) -> Residual:
+def _then(after: ProcessBlock, rest: tuple[ProcessBlock, ...]) -> ProcessBlock:
     """The residual of a Seq whose first child has become ``after``."""
     if not rest:
         return after
@@ -254,37 +216,22 @@ def _then(after: Residual, rest: tuple[ProcessBlock, ...]) -> Residual:
     return Seq((after,) + rest)
 
 
-def _frontier(r: Residual, numbers: dict[int, int]) -> list[Move]:
+def _frontier(r: ProcessBlock) -> list[Move]:
     if isinstance(r, TaskBlock):
-        return [(r.task, DONE, ())]
+        return [(r.task, DONE)]
     if isinstance(r, Seq):
-        head, rest = r.children[0], r.children[1:]
-        if isinstance(head, Joined):
-            return [(t, after, head.joins + silent) for t, after, silent
-                    in _frontier(_then(DONE, rest), numbers)]
-        return [(t, _then(after, rest), silent)
-                for t, after, silent in _frontier(head, numbers)]
+        rest = r.children[1:]
+        return [(t, _then(after, rest))
+                for t, after in _frontier(r.children[0])]
     if isinstance(r, Xor):
-        return [move for child in r.children
-                for move in _frontier(child, numbers)]
-    if isinstance(r, Par):
+        return [move for child in r.children for move in _frontier(child)]
+    if isinstance(r, AndBlock):
         moves = []
         for k, child in enumerate(r.children):
-            for t, after, silent in _frontier(child, numbers):
-                children = r.children[:k] + (after,) + r.children[k + 1:]
-                if isinstance(after, Joined) and all(
-                        isinstance(c, Joined) for c in children):
-                    joins = sum((c.joins for c in children), ())
-                    after = Joined(joins + (f"__join{r.number}",))
-                else:
-                    after = Par(r.number, children)
-                moves.append((t, after, silent))
+            before, rest = r.children[:k], r.children[k + 1:]
+            for t, after in _frontier(child):
+                left = before + rest if after is DONE else (
+                    before + (after,) + rest)
+                moves.append((t, AndBlock(left) if left else DONE))
         return moves
-    if isinstance(r, AndBlock):
-        n = numbers[id(r)]
-        fork = (f"__fork{n}",)
-        return [(t, after, fork + silent) for t, after, silent
-                in _frontier(Par(n, r.children), numbers)]
-    if isinstance(r, Joined):
-        return []
     raise TypeError(f"not a residual: {r!r}")

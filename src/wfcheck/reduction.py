@@ -83,7 +83,7 @@ def verify_reduction_steps(f: Formula) -> ReductionCheck:
     """Run the construction checks and compare both tautology routes."""
     inst = build_interpretation_model(f)
     names = sorted(atoms(f))
-    traces = [tr for _, tr in enumerate_traces(inst.model)]
+    traces = list(enumerate_traces(inst.model))
 
     finals = [tr.states()[-1] for tr in traces]
     step_final_total = all(_is_total(s, names) for s in finals)

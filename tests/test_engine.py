@@ -213,6 +213,16 @@ class TestRunCheck:
                       "full", engine="fast")
         assert err.value.variant == "1G+"
 
+    def test_fast_refuses_the_strict_deadline_reading(self):
+        # the strict reading makes this run violate, the default one not
+        m = validate(seq(task("d1", "d"), task("d2", "-d"), task("x", "a"),
+                         task("w", "b"), task("z", "d")))
+        rs = rules(("achievement", "b", "a", "d"))
+        assert not run_check(m, rs, "full", strict_deadline=True).verdict
+        assert run_check(m, rs, "full", engine="fast").verdict
+        with pytest.raises(ValueError, match="needs the brute engine"):
+            run_check(m, rs, "full", engine="fast", strict_deadline=True)
+
     def test_unknown_mode_and_engine(self, example_model):
         rs = rules(("maintenance", "a"))
         with pytest.raises(ValueError):

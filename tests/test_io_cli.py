@@ -15,10 +15,10 @@ from strategies import models, rule_sets
 from wfcheck.cli import main
 from wfcheck.bench import CSV_HEADER, run_bench
 from wfcheck.engine import run_check
-from wfcheck.fileio import (FileFormatError, dump_model, dump_rules,
-                            load_model, load_rules, model_from_dict,
-                            model_to_dict, report_from_dict, report_to_dict,
-                            rules_from_dict, rules_to_dict)
+from wfcheck.fileio import (MAX_DEPTH, FileFormatError, ModelTooDeep,
+                            dump_model, dump_rules, load_model, load_rules,
+                            model_from_dict, model_to_dict, report_from_dict,
+                            report_to_dict, rules_from_dict, rules_to_dict)
 from wfcheck.formula import parse_formula
 from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, VariantTag,
@@ -42,6 +42,14 @@ GOLDEN_ROWS = {
 
 def task_dict(tid, *ann):
     return {"type": "task", "id": tid, "ann": list(ann)}
+
+
+def nested_seq(depth):
+    """A model dict whose blocks nest ``depth`` deep: seqs around a task."""
+    root = task_dict("leaf", "a")
+    for k in range(depth - 1):
+        root = {"type": "seq", "children": [task_dict(f"t{k}", "b"), root]}
+    return {"name": "deep", "root": root}
 
 
 class TestModelFiles:
@@ -98,6 +106,37 @@ class TestModelFiles:
                    "children": [task_dict("t1"), task_dict("t1")]}
         with pytest.raises(DuplicateTaskId):
             model_from_dict({"root": doubled})
+
+    def test_model_at_the_depth_limit_loads_and_checks(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "deep.model.json"
+        path.write_text(json.dumps(nested_seq(MAX_DEPTH)))
+        m = load_model(path)
+        rules = RuleSet((Obligation(Kind.ACHIEVEMENT, parse_formula("b"),
+                                    parse_formula("a"),
+                                    parse_formula("d")),))
+        # b holds from t0 on, so the one interval, opened by leaf, is met
+        assert run_check(m, rules, "full").verdict
+        assert run_check(m, rules, "full", engine="fast").verdict
+        dump_model(m, path)
+        assert load_model(path).tasks() == m.tasks()
+        assert main(["enumerate", "--model", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 1
+        assert rows[0].startswith(f"start,t{MAX_DEPTH - 2},")
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 700])
+    def test_deeper_models_are_refused_by_name(self, depth):
+        with pytest.raises(ModelTooDeep, match=f"more than {MAX_DEPTH}"):
+            model_from_dict(nested_seq(depth))
+
+    def test_json_too_deep_to_decode_is_refused_by_name(self, tmp_path):
+        # deep enough for the decoder of every supported Python to give up
+        depth = 100_000
+        path = tmp_path / "deep.rules.json"
+        path.write_text('{"obligations": ' + "[" * depth + "]" * depth + "}")
+        with pytest.raises(ModelTooDeep, match=f"more than {MAX_DEPTH}"):
+            load_rules(path)
 
 
 class TestRuleFiles:
@@ -335,6 +374,19 @@ class TestCli:
         row = capsys.readouterr().out.strip().split(" | ")[0]
         assert row.split(",") == ["start"] + [
             f"t{k}" for k in range(5000)] + ["end"]
+
+    def test_deep_model_exits_two_with_the_named_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "deep.model.json"
+        level = '{"type": "seq", "children": [{"type": "task", "id": "t"}, '
+        path.write_text('{"root": ' + level * 1199
+                        + '{"type": "task", "id": "u"}' + "]}" * 1199 + "}")
+        assert main(["check", "--model", str(path), "--rules",
+                     str(GOLDEN_RULES), "--mode", "full"]) == 2
+        # the decoder or the loader refuses it, depending on the Python
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"nests more than {MAX_DEPTH} deep" in err
 
     def test_reduce_verify_tautology(self, capsys):
         assert main(["reduce", "--formula", "a | !a", "--verify"]) == 0

@@ -162,7 +162,7 @@ class TestLinearIntervals:
         n = 2000
         m = validate(seq(*(task(f"t{k}", "a" if k % 2 else "-a")
                            for k in range(n))))
-        ((_, tr),) = enumerate_traces(m)
+        (tr,) = enumerate_traces(m)
         cache = CountingCache()
         eval_obligation(tr, rule, strict, cache)
         assert cache.calls <= 6 * len(tr.steps)

@@ -2,7 +2,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from conftest import build_example_model
 from strategies import models
@@ -11,10 +11,10 @@ from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, Marking,
                          NotEnabled, Trace, compile_to_net, derive_trace,
                          enabled, enumerate_executions, enumerate_traces,
                          fire, replay)
-from wfcheck.process import (AndBlock, DuplicateTaskId, EmptyBlock,
+from wfcheck.process import (DONE, AndBlock, DuplicateTaskId, EmptyBlock,
                              InconsistentAnnotation, InvalidTaskId, Seq, Task,
-                             TaskBlock, and_, count_executions, seq, task,
-                             validate, xor)
+                             TaskBlock, and_, count_executions, frontier, seq,
+                             task, validate, xor)
 
 # The running example: four runs, with the states each one accumulates.
 EXPECTED_RUNS = [
@@ -141,7 +141,6 @@ class TestEnumeration:
     def test_silent_steps_not_reported(self, example_model):
         for e in enumerate_executions(example_model):
             assert not any(t.id.startswith("__") for t in e.steps)
-            assert any(t.startswith("__") for t in e.firing)
 
     def test_cap_enforced_before_enumerating(self, example_model):
         with pytest.raises(ExecutionCapExceeded) as err:
@@ -162,13 +161,14 @@ class TestFoldedTraces:
     @given(models())
     def test_traces_equal_the_reference_fold(self, m):
         assume(count_executions(m.root) <= 2_000)
-        pairs = list(enumerate_traces(m))
-        assert [e for e, _ in pairs] == list(enumerate_executions(m))
-        for execution, trace in pairs:
+        traces = list(enumerate_traces(m))
+        executions = list(enumerate_executions(m))
+        assert [tr.tasks() for tr in traces] == [e.steps for e in executions]
+        for execution, trace in zip(executions, traces):
             assert trace == derive_trace(m, execution)
 
     def test_runs_sharing_a_prefix_share_its_states(self, example_model):
-        first, second = [tr for _, tr in enumerate_traces(example_model)][2:]
+        first, second = list(enumerate_traces(example_model))[2:]
         # start,t3 is folded once for both runs that begin with it
         assert first.steps[1][1] is second.steps[1][1]
 
@@ -202,14 +202,42 @@ class TestEnumerationOrder:
         runs = [e.task_ids() for e in enumerate_executions(m)]
         assert runs == sorted(structural_runs(m.root))
 
-    def test_silent_steps_fire_right_before_the_task_needing_them(self):
-        m = validate(seq(and_(and_(task("a"), task("b")), task("c")),
-                         task("d")))
-        first = next(enumerate_executions(m))
-        assert first.firing == ("start", "__fork1", "__fork2", "a", "b",
-                                "c", "__join2", "__join1", "d", "end")
-        net = compile_to_net(m)
-        assert replay(net, first.firing)[-1] == Marking.of({"o": 1})
+
+def net_runs(net):
+    """Every run of a net from its source to a dead marking, silent
+    transitions dropped, found by a search over its markings.
+
+    Asserts on the way that every reachable marking holds at most one
+    token per place and that the sink is the only dead one."""
+    sink = Marking.of({net.sink: 1})
+    memo = {}
+
+    def runs_from(marking):
+        if marking not in memo:
+            assert all(c <= 1 for _, c in marking.counts), marking
+            moves = enabled(net, marking)
+            if not moves:
+                assert marking == sink, marking
+            out = set() if moves else {()}
+            for t in moves:
+                tails = runs_from(fire(net, marking, t))
+                if t.id not in net.silent_ids:
+                    tails = {(t.id,) + tail for tail in tails}
+                out |= tails
+            memo[marking] = out
+        return memo[marking]
+
+    return runs_from(net.initial_marking())
+
+
+class TestNetReference:
+    @given(models(max_tasks=6))
+    @example(validate(seq(and_(and_(task("a"), task("b")), task("c")),
+                          task("d"))))
+    def test_runs_are_the_runs_of_the_safe_sound_net(self, m):
+        assume(count_executions(m.root) <= 2_000)
+        runs = {e.task_ids() for e in enumerate_executions(m)}
+        assert net_runs(compile_to_net(m)) == runs
 
 
 class TestCount:
@@ -227,6 +255,21 @@ class TestCount:
         block = and_(and_(task("a1"), task("b1")), task("c1"))
         assert count_executions(block) == 6
 
+    @given(models(max_tasks=6))
+    def test_residuals_count_their_completions(self, m):
+        assume(count_executions(m.root) <= 500)
+
+        def completions(residual):
+            moves = frontier(residual)
+            if not moves:
+                assert residual is DONE
+                return 1
+            total = sum(completions(after) for _, after in moves)
+            assert count_executions(residual) == total
+            return total
+
+        assert completions(m.root) == count_executions(m.root)
+
     @given(models())
     def test_count_matches_enumeration(self, m):
         total = count_executions(m.root)
@@ -237,23 +280,6 @@ class TestCount:
 
 
 class TestReplaySoundness:
-    @given(models(max_tasks=6))
-    def test_every_run_replays_to_the_sink(self, m):
-        assume(count_executions(m.root) <= 2_000)
-        net = compile_to_net(m)
-        for e in enumerate_executions(m):
-            markings = replay(net, e.firing)
-            assert markings[-1] == Marking.of({"o": 1})
-            assert not enabled(net, markings[-1])
-
-    @given(models(max_tasks=6))
-    def test_safeness_one_token_per_place(self, m):
-        assume(count_executions(m.root) <= 2_000)
-        net = compile_to_net(m)
-        for e in enumerate_executions(m):
-            for marking in replay(net, e.firing):
-                assert all(c <= 1 for _, c in marking.counts)
-
     @given(models(max_tasks=6))
     def test_acyclicity_no_task_repeats(self, m):
         assume(count_executions(m.root) <= 2_000)
