@@ -202,6 +202,38 @@ class TestEnumerationOrder:
         runs = [e.task_ids() for e in enumerate_executions(m)]
         assert runs == sorted(structural_runs(m.root))
 
+    def test_silent_steps_fire_right_before_the_task_needing_them(self):
+        m = validate(seq(and_(and_(task("a"), task("b")), task("c")),
+                         task("d")))
+        net = compile_to_net(m)
+        first = net_firing(net, next(enumerate_executions(m)).task_ids())
+        assert first == ("start", "__fork1", "__fork2", "a", "b",
+                         "c", "__join2", "__join1", "d", "end")
+        assert replay(net, first)[-1] == Marking.of({"o": 1})
+
+
+def net_firing(net, run):
+    """The firing sequence of a task-level run on its net: before each
+    task, the fewest silent transitions that enable it, found by a
+    breadth-first search over the markings silent firings reach."""
+    marking = net.initial_marking()
+    firing = []
+    for tid in run:
+        queue, seen = [(marking, ())], {marking}
+        while not any(t.id == tid for t in enabled(net, queue[0][0])):
+            current, path = queue.pop(0)
+            for t in sorted(enabled(net, current), key=lambda t: t.id):
+                if t.id in net.silent_ids:
+                    after = fire(net, current, t)
+                    if after not in seen:
+                        seen.add(after)
+                        queue.append((after, path + (t.id,)))
+            assert queue, f"{tid} never enabled after {firing}"
+        marking, path = queue[0]
+        firing += path + (tid,)
+        marking = fire(net, marking, net.transitions[tid])
+    return tuple(firing)
+
 
 def net_runs(net):
     """Every run of a net from its source to a dead marking, silent
@@ -280,6 +312,23 @@ class TestCount:
 
 
 class TestReplaySoundness:
+    @given(models(max_tasks=6))
+    def test_every_run_replays_to_the_sink(self, m):
+        assume(count_executions(m.root) <= 2_000)
+        net = compile_to_net(m)
+        for e in enumerate_executions(m):
+            markings = replay(net, net_firing(net, e.task_ids()))
+            assert markings[-1] == Marking.of({"o": 1})
+            assert not enabled(net, markings[-1])
+
+    @given(models(max_tasks=6))
+    def test_safeness_one_token_per_place(self, m):
+        assume(count_executions(m.root) <= 2_000)
+        net = compile_to_net(m)
+        for e in enumerate_executions(m):
+            for marking in replay(net, net_firing(net, e.task_ids())):
+                assert all(c <= 1 for _, c in marking.counts)
+
     @given(models(max_tasks=6))
     def test_acyclicity_no_task_repeats(self, m):
         assume(count_executions(m.root) <= 2_000)
