@@ -5,10 +5,10 @@ can observe about a run is the evolution of two truth values, plus which
 tasks trigger.  That evolution is a small automaton driven by task
 annotations, and the automaton's reachable states compose structurally:
 fold through sequence children, union over choice branches.  Parallel
-blocks have no cheap composition, so they are explored task by task with
-the run enumerator's frontier step, memoising (residual, automaton state)
-pairs, and refused when they admit more runs than a cap; choice-heavy
-models — where brute force blows up — stay polynomial.
+blocks have no cheap composition, so they are explored task by task on
+the run walk (``net.walk_runs``), which goes on from each (residual,
+automaton state) pair once, and refused when they admit more runs than a
+cap; choice-heavy models — where brute force blows up — stay polynomial.
 
 One automaton answers every query.  Given a set of trigger tasks, its
 state holds the truth of the requirement and deadline literals, whether
@@ -30,10 +30,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formula import Literal, eval_formula, formula_to_literal
-from .net import ExecutionCapExceeded
-from .obligations import Kind, Obligation, RuleSet, classify_variant
+from .net import walk_runs
+from .obligations import (POOL_DEAD, POOL_OPEN, Kind, Obligation, RuleSet,
+                          classify_variant, pool_satisfied_at_end, pool_step)
 from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
-                      Xor, count_executions, frontier, validate)
+                      Xor, validate)
 
 DEFAULT_AND_CAP = 4096
 
@@ -99,41 +100,37 @@ def _trigger_ids(m: Model, o: Obligation) -> frozenset[str]:
 # semantics projected onto one atom.  "Fired" records that some trigger in
 # the set has fired.  "Pool open" records that intervals are open: open
 # intervals of one rule always agree on the two truth values, so they
-# resolve together and one bit covers them all.  _DEAD is absorbing: some
-# interval was violated.  Only a fired trigger opens one, so _DEAD carries
-# the fired bit too.
+# resolve together and one bit covers them all.  ``obligations.pool_step``
+# moves that bit, the same transition the brute engine's monitors take.
+# _DEAD is absorbing: some interval was violated.  Only a fired trigger
+# opens one, so _DEAD carries the fired bit too.
 
-_POOL, _FIRED, _DEADLINE, _REQUIREMENT = 1, 2, 4, 8
+_POOL, _FIRED, _DEADLINE, _REQUIREMENT = POOL_OPEN, 2, 4, 8
 _DEAD = 16 | _FIRED
 
 
-def _truth_after(lit: Literal, ann, current: bool) -> bool:
-    if Literal(lit.atom, True) in ann:
-        return lit.positive
-    if Literal(lit.atom, False) in ann:
-        return not lit.positive
+_LiteralPair = tuple[Literal, Literal]  # a literal and its negation
+
+
+def _truth_after(lit: _LiteralPair, ann: frozenset, current: bool) -> bool:
+    if lit[0] in ann:
+        return True
+    if lit[1] in ann:
+        return False
     return current
 
 
 def _run_step(state: int, task: Task, trigger_ids: frozenset[str],
-              kind: Kind, rho: Literal, delta: Literal) -> int:
+              kind: Kind, rho: _LiteralPair, delta: _LiteralPair) -> int:
     if state == _DEAD:
         return _DEAD
-    rt = _truth_after(rho, task.annotation, bool(state & _REQUIREMENT))
-    dt = _truth_after(delta, task.annotation, bool(state & _DEADLINE))
+    ann = task.annotation.literals
+    rt = _truth_after(rho, ann, bool(state & _REQUIREMENT))
+    dt = _truth_after(delta, ann, bool(state & _DEADLINE))
     fires = task.id in trigger_ids
-    pool = bool(state & _POOL) or fires
-    if pool:
-        if kind is Kind.ACHIEVEMENT:
-            if rt:
-                pool = False
-            elif dt:
-                return _DEAD
-        else:
-            if not rt:
-                return _DEAD
-            if dt:
-                pool = False
+    pool = pool_step(kind, state & _POOL, fires, rt, dt)
+    if pool == POOL_DEAD:
+        return _DEAD
     fired = fires or bool(state & _FIRED)
     return rt * _REQUIREMENT + dt * _DEADLINE + fired * _FIRED + pool
 
@@ -153,25 +150,20 @@ def _reach(block: ProcessBlock, states: frozenset[int],
             out |= _reach(child, states, step, cap)
         return frozenset(out)
     if isinstance(block, AndBlock):
-        total = count_executions(block)
-        if total > cap:
-            raise ExecutionCapExceeded(total, cap)
-        # depth-first over (residual, automaton state) pairs: interleavings
-        # that reach the same pair share everything after it
-        out = set()
-        stack = [(block, s) for s in states]
-        seen = set(stack)
-        while stack:
-            residual, s = stack.pop()
-            moves = frontier(residual)
-            if not moves:
-                out.add(s)
-            for task, after in moves:
-                pair = (after, step(s, task))
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
-        return frozenset(out)
+        # interleavings that reach the same (residual, automaton state)
+        # pair share everything after it, so the walk goes on from each
+        # pair once
+        seen = set()
+
+        def fold(s: int, task: Task, after: ProcessBlock) -> int | None:
+            s = step(s, task)
+            if (after, s) in seen:
+                return None
+            seen.add((after, s))
+            return s
+
+        return frozenset(run[-1][1] for s in states
+                         for run in walk_runs(block, cap, s, fold))
     raise TypeError(f"not a process block: {block!r}")
 
 
@@ -184,6 +176,7 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
     # the empty starting state makes atoms false, so negative literals hold
     start = ((not rho.positive) * _REQUIREMENT
              + (not delta.positive) * _DEADLINE)
+    rho, delta = (rho, rho.negate()), (delta, delta.negate())
 
     def step(s: int, task: Task) -> int:
         return _run_step(s, task, trigger_ids, o.kind, rho, delta)
@@ -192,11 +185,8 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
 
 
 def _ending_complies(state: int, kind: Kind) -> bool:
-    if state == _DEAD:
-        return False
-    if state & _POOL:  # intervals still open: the final state is the deadline
-        return kind is Kind.MAINTENANCE
-    return True
+    return pool_satisfied_at_end(
+        kind, POOL_DEAD if state == _DEAD else state & _POOL)
 
 
 def _interval_outcomes(m: Model, o: Obligation, x: Task,

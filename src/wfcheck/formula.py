@@ -224,7 +224,18 @@ class Interpretation:
 _TOKEN_RE = re.compile(r"\s*(?:(->)|([!&|()])|([A-Za-z_][A-Za-z0-9_]*))")
 
 
+# Formulas nest at most this deep: no more brackets, negations and
+# implications around any token, and no more operators on any path of the
+# parsed tree.  Parsing, evaluation, formatting and both engines recurse
+# once or a few times per level, so this keeps them far inside Python's
+# default recursion limit.
+MAX_FORMULA_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns a formula and its height, the
+    operators on its longest path."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens: list[tuple[str, int]] = []
@@ -240,6 +251,7 @@ class _Parser:
                 self.tokens.append((tok, m.end() - len(tok)))
             pos = m.end()
         self.index = 0
+        self.nesting = 0  # brackets, negations, implications around here
 
     def peek(self) -> str | None:
         if self.index < len(self.tokens):
@@ -263,48 +275,78 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {tok!r}", self.offset())
         self.index += 1
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
+    def checked(self, f: Formula, height: int, at: int
+                ) -> tuple[Formula, int]:
+        """f with its height, unless it nests too deep; ``at`` is the
+        index of the token that built it."""
+        if height > MAX_FORMULA_DEPTH:
+            raise self.too_deep(at)
+        return f, height
+
+    def too_deep(self, at: int) -> FormulaSyntaxError:
+        return FormulaSyntaxError(
+            f"formula nests more than {MAX_FORMULA_DEPTH} deep",
+            _byte_offset(self.text, self.tokens[at][1]))
+
+    def nested(self, rule) -> tuple[Formula, int]:
+        """Take an operator or bracket, then parse by ``rule`` one level
+        further in; the nesting is checked before the recursion."""
+        self.take()
+        self.nesting += 1
+        if self.nesting > MAX_FORMULA_DEPTH:
+            raise self.too_deep(self.index - 1)
+        out = rule()
+        self.nesting -= 1
+        return out
+
+    def implication(self) -> tuple[Formula, int]:
+        left, height = self.disjunction()
         if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implication())
-        return left
+            at = self.index
+            right, right_height = self.nested(self.implication)
+            return self.checked(Implies(left, right),
+                                1 + max(height, right_height), at)
+        return left, height
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def disjunction(self) -> tuple[Formula, int]:
+        f, height = self.conjunction()
         while self.peek() == "|":
+            at = self.index
             self.take()
-            f = Or(f, self.conjunction())
-        return f
+            g, g_height = self.conjunction()
+            f, height = self.checked(Or(f, g), 1 + max(height, g_height), at)
+        return f, height
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
+    def conjunction(self) -> tuple[Formula, int]:
+        f, height = self.unary()
         while self.peek() == "&":
+            at = self.index
             self.take()
-            f = And(f, self.unary())
-        return f
+            g, g_height = self.unary()
+            f, height = self.checked(And(f, g), 1 + max(height, g_height), at)
+        return f, height
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok is None:
             raise FormulaSyntaxError("unexpected end of input", self.offset())
         if tok == "!":
-            self.take()
-            return Not(self.unary())
+            at = self.index
+            f, height = self.nested(self.unary)
+            return self.checked(Not(f), height + 1, at)
         if tok == "(":
-            self.take()
-            f = self.implication()
+            out = self.nested(self.implication)
             self.expect(")")
-            return f
+            return out
         if tok == "true":
             self.take()
-            return TRUE
+            return TRUE, 0
         if tok == "false":
             self.take()
-            return FALSE
+            return FALSE, 0
         if ATOM_PATTERN.fullmatch(tok):
             self.take()
-            return Atom(tok)
+            return Atom(tok), 0
         raise FormulaSyntaxError(f"unexpected token {tok!r}", self.offset())
 
 
@@ -315,7 +357,7 @@ def _byte_offset(text: str, index: int) -> int:
 def parse_formula(text: str) -> Formula:
     """Parse "!a & (b | c) -> d"; ! binds tightest, -> is right-associative."""
     parser = _Parser(text)
-    f = parser.implication()
+    f, _ = parser.implication()
     if parser.peek() is not None:
         raise FormulaSyntaxError(f"trailing input {parser.peek()!r}",
                                  parser.offset())

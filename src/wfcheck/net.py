@@ -13,18 +13,21 @@ engine explores and-blocks with.  It branches on the tasks that can fire
 next, ordered by id, so it yields every distinct run exactly once, in
 lexicographic order of task ids.
 
-The walk folds task annotations into states as it goes: each edge of the
-search pushes the step with the state after its task and pops it on the
-way back, so a prefix that many runs share is folded once, not once per
-run.  ``enumerate_traces`` yields each run as that trace;
-``derive_trace`` folds one run from the empty state and is the reference
-it must equal.
+``walk_runs`` is that search, and the only one: it folds a caller's carry
+along each edge and pushes it with the step, so a prefix that many runs
+share is folded once, not once per run, and a caller can prune a subtree
+whose runs it no longer needs.  ``enumerate_traces`` carries the state
+after each task and yields each run as a trace; ``enumerate_executions``
+carries nothing; the brute engine carries the state plus its rule
+monitors; the fast engine walks an and-block carrying its automaton
+state, and prunes (remaining block, state) pairs it has already seen.  ``derive_trace`` folds one run from the empty state and is the
+reference the carried states must equal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count as _count
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from .formula import EMPTY_STATE, State, update
 from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
@@ -34,6 +37,8 @@ SOURCE_PLACE = "i"
 SINK_PLACE = "o"
 
 DEFAULT_CAP = 2 ** 20
+
+Carry = Any  # what a walk folds along each edge
 
 
 class NotEnabled(ValueError):
@@ -196,40 +201,69 @@ def fire(net: WFNet, marking: Marking, t: Task) -> Marking:
     return Marking.of(counts)
 
 
-def enumerate_traces(model: Model,
-                     cap: int = DEFAULT_CAP) -> Iterator[Trace]:
-    """Yield every run exactly once as a trace, depth-first, next task
-    ordered by id."""
-    total = count_executions(model.root)
+def walk_runs(root: ProcessBlock, cap: int, start: Carry,
+              fold: Callable[[Carry, Task, ProcessBlock], Carry | None]
+              ) -> Iterator[list[tuple[Task, Carry]]]:
+    """Depth-first over every run of a block, next task ordered by id,
+    folding a carry along each edge.
+
+    ``fold(carry, task, residual)`` gives the carry after ``task``, where
+    ``residual`` is what is left to run; ``None`` prunes every run below
+    that edge.  At the end of each run the walk yields its (task, carry)
+    steps as one live list, which changes once the walk resumes.  The
+    block's run count is checked against the cap before the walk starts.
+    """
+    total = count_executions(root)
     if total > cap:
         raise ExecutionCapExceeded(total, cap)
-    return _walk(model.root)
+    return _walk(root, start, fold)
 
 
-def enumerate_executions(model: Model,
-                         cap: int = DEFAULT_CAP) -> Iterator[Execution]:
-    """The runs of enumerate_traces, in its order, without their states."""
-    return (Execution(trace.tasks()) for trace in enumerate_traces(model, cap))
-
-
-def _walk(root: ProcessBlock) -> Iterator[Trace]:
-    steps: list[tuple[Task, State]] = []  # each task with the state after it
+def _walk(root: ProcessBlock, start: Carry, fold) -> Iterator[list]:
+    steps: list[tuple[Task, Carry]] = []  # each task with the carry after it
     stack = [iter(frontier(root))]
     while stack:
         move = next(stack[-1], None)
         if move is None:
             stack.pop()
+            if steps:  # take back the step whose moves are used up
+                steps.pop()
+            continue
+        task, after = move
+        carry = fold(steps[-1][1] if steps else start, task, after)
+        if carry is None:
+            continue
+        steps.append((task, carry))
+        moves = frontier(after)
+        if moves:
+            stack.append(iter(moves))
         else:
-            task, after = move
-            state = steps[-1][1] if steps else EMPTY_STATE
-            steps.append((task, update(state, task.annotation)))
-            moves = frontier(after)
-            if moves:
-                stack.append(iter(moves))
-                continue
-            yield Trace(tuple(steps))
-        if steps:  # take back the step just finished with
+            yield steps
             steps.pop()
+
+
+def _fold_state(state: State, task: Task, residual) -> State:
+    return update(state, task.annotation)
+
+
+def _no_carry(carry: tuple, task: Task, residual) -> tuple:
+    return carry
+
+
+def enumerate_traces(model: Model,
+                     cap: int = DEFAULT_CAP) -> Iterator[Trace]:
+    """Yield every run exactly once as a trace, depth-first, next task
+    ordered by id."""
+    return (Trace(tuple(steps))
+            for steps in walk_runs(model.root, cap, EMPTY_STATE,
+                                   _fold_state))
+
+
+def enumerate_executions(model: Model,
+                         cap: int = DEFAULT_CAP) -> Iterator[Execution]:
+    """The runs of enumerate_traces, in its order, without their states."""
+    return (Execution(tuple([task for task, _ in steps]))
+            for steps in walk_runs(model.root, cap, (), _no_carry))
 
 
 def derive_trace(model: Model, execution: Execution) -> Trace:

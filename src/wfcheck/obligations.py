@@ -11,6 +11,15 @@ Anchoring local intervals at the annotations that assert the trigger (and
 not at every later state the trigger literal happens to persist into) is
 what makes per-trigger analysis compose; the restricted evaluation below
 relies on it.
+
+The in-force intervals of one rule that are open at the same time always
+agree on what they still wait for, so they resolve together, and one
+"pool" stands for all of them.  ``pool_step`` moves the pool over one step
+of a run and ``pool_satisfied_at_end`` reads it at the run's end; both
+engines step their monitors with it, the brute engine on formulas judged
+on states, the fast engine on literal truth bits.  The trace-level
+evaluation here (``in_force_intervals``, ``eval_obligation``) is the
+reference those monitors must agree with.
 """
 from __future__ import annotations
 
@@ -58,6 +67,39 @@ class SatCache:
 class Kind(enum.Enum):
     ACHIEVEMENT = "achievement"
     MAINTENANCE = "maintenance"
+
+
+# The pool of open intervals after a step: none open, some open, or one
+# violated.  POOL_OPEN is 1, so it doubles as a monitor's "pool" bit.
+POOL_CLOSED, POOL_OPEN, POOL_DEAD = 0, 1, 2
+
+
+def pool_step(kind: Kind, pool_open: bool, fires: bool, requirement: bool,
+              deadline: bool) -> int:
+    """The pool after one step of a run.
+
+    ``fires`` says the step opens an interval; ``requirement`` and
+    ``deadline`` are their truth on the state after the step.  The
+    requirement is judged first: an achievement interval is satisfied even
+    at its deadline state, and a maintenance interval is violated there.
+    """
+    if not (pool_open or fires):
+        return POOL_CLOSED
+    if kind is Kind.ACHIEVEMENT:
+        if requirement:
+            return POOL_CLOSED
+        return POOL_DEAD if deadline else POOL_OPEN
+    if not requirement:
+        return POOL_DEAD
+    return POOL_CLOSED if deadline else POOL_OPEN
+
+
+def pool_satisfied_at_end(kind: Kind, pool: int) -> bool:
+    """Whether a run that ends with this pool satisfies the rule.  The last
+    state is every open interval's deadline: an open achievement interval
+    missed its requirement there, an open maintenance one held to it."""
+    return pool == POOL_CLOSED or (
+        pool == POOL_OPEN and kind is Kind.MAINTENANCE)
 
 
 @dataclass(frozen=True)

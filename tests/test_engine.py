@@ -5,18 +5,21 @@ import pytest
 from conftest import build_example_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import make_trace, models, rule_sets
+from strategies import any_obligations, linear_traces, make_trace, models, \
+    rule_sets
+from test_obligations import CountingCache
 
+from wfcheck import engine
 from wfcheck.engine import (check_full, check_non, check_partial, run_check,
                             trace_complies)
 from wfcheck.fastpath import WrongVariant
 from wfcheck.formula import Literal, State, parse_formula
 from wfcheck.net import ExecutionCapExceeded, derive_trace, \
-    enumerate_executions
+    enumerate_executions, enumerate_traces
 from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, SatCache,
-                                 VariantTag)
-from wfcheck.process import seq, task, validate
+                                 VariantTag, eval_obligation)
+from wfcheck.process import seq, task, validate, xor
 from wfcheck.reduction import build_interpretation_model
 
 ROW1 = make_trace(("t1", "a"), ("t3", "c", "d"), ("t4", "-a"))
@@ -190,6 +193,81 @@ def test_brute_reports_equal_the_reference_scan(tag):
 def test_brute_reports_equal_the_reference_scan_on_random_models(
         m, rs, mode, strict):
     assert_matches_reference(m, rs, mode, strict)
+
+
+def monitor_verdict(tr, o, strict):
+    """Step o's brute-engine monitor along a trace and read it at the end."""
+    holds = SatCache().holds
+    mark, step = engine._monitor(o, list(tr.tasks()), strict, holds)
+    for task_, state in tr.steps:
+        mark = step(mark, task_, state)
+    return engine._complies((mark,), (o.kind,))
+
+
+def prefix_edges(m):
+    """Edges of the prefix tree of m's runs: what a walk without skipping
+    steps along."""
+    return len({tr.task_ids()[:k] for tr in enumerate_traces(m)
+                for k in range(1, len(tr.steps) + 1)})
+
+
+def counting_caches(monkeypatch):
+    """Make the engine count its holds calls; returns its caches."""
+    caches = []
+
+    def make():
+        caches.append(CountingCache())
+        return caches[-1]
+
+    monkeypatch.setattr(engine, "SatCache", make)
+    return caches
+
+
+def xor_chain(n):
+    """x opens an interval of <b, a, d>, n choices never assert b, and z's
+    deadline violates it: every run is violated at its second last step."""
+    noise = ("c", "-c", "e", "-e")
+    choices = [xor(task(f"p{k}", noise[k % 4]), task(f"q{k}", noise[k % 3]))
+               for k in range(n)]
+    return validate(seq(task("x", "a"), *choices, task("z", "d")))
+
+
+class TestMonitors:
+    @settings(max_examples=150)
+    @given(linear_traces(max_len=12), any_obligations(), st.booleans())
+    def test_monitor_verdict_equals_the_reference(self, tr, o, strict):
+        # global and local rules of both kinds; strict only changes local
+        # achievement rules
+        assert monitor_verdict(tr, o, strict) == eval_obligation(
+            tr, o, strict).satisfied
+
+    def test_holds_calls_grow_with_edges_not_with_run_length(
+            self, monkeypatch):
+        m = xor_chain(12)
+        caches = counting_caches(monkeypatch)
+        report = check_partial(m, rules(("achievement", "b", "a", "d")))
+        assert not report.verdict and report.traces_examined == 2 ** 12
+        (cache,) = caches
+        # a requirement and a deadline per edge, triggers once per task;
+        # judging every run from scratch makes about 11 calls per edge
+        assert cache.calls <= 3 * prefix_edges(m)
+
+    def test_a_prefix_that_cannot_comply_is_skipped_and_counted(
+            self, monkeypatch):
+        n = 10
+        names = "abcfghjkmn"
+        text = f"({' | '.join(names)}) & !(a & !a)"
+        inst = build_interpretation_model(parse_formula(text))
+        caches = counting_caches(monkeypatch)
+        report = check_non(inst.model, inst.rules)
+        # the empty state after start already fails the requirement, so
+        # no run complies and none is listed
+        assert (report.verdict, report.witness, report.traces_examined) \
+            == (True, None, 2 ** n)
+        assert reference_report(inst.model, inst.rules, "non", False) \
+            == (True, None, 2 ** n)
+        (cache,) = caches
+        assert cache.calls <= n
 
 
 class TestRunCheck:

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strategies import ATOM_POOL, formulas, states
-from wfcheck.formula import (FALSE, TRUE, And, Atom, FormulaSyntaxError,
-                             Implies, InconsistentInput, Interpretation,
-                             Literal, MissingAtom, Not, Or, State,
+from wfcheck.formula import (FALSE, MAX_FORMULA_DEPTH, TRUE, And, Atom,
+                             FormulaSyntaxError, Implies, InconsistentInput,
+                             Interpretation, Literal, MissingAtom, Not, Or,
+                             State,
                              TooManyAtoms, atoms, closed_world, eval_formula,
                              eval_under_interpretation, format_formula,
                              formula_to_literal, is_literal, parse_formula,
@@ -145,6 +146,53 @@ class TestParser:
     @given(formulas())
     def test_format_round_trips(self, f):
         assert parse_formula(format_formula(f)) == f
+
+
+def nested_formulas(depth):
+    """Formulas that nest ``depth`` deep, one per way of nesting."""
+    mixed = "".join("(!"[k % 2] for k in range(depth))
+    return {
+        "negations": "!" * depth + "a",
+        "brackets": "(" * depth + "a" + ")" * depth,
+        "bracketed negations": mixed + "a" + ")" * mixed.count("("),
+        "or chain": " | ".join(["a"] * (depth + 1)),
+        "and chain": " & ".join(["a"] * (depth + 1)),
+        "implications": " -> ".join(["a"] * (depth + 1)),
+    }
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("way", sorted(nested_formulas(2)))
+    def test_formulas_at_the_limit_parse_and_evaluate(self, way):
+        text = nested_formulas(MAX_FORMULA_DEPTH)[way]
+        f = parse_formula(text)
+        assert parse_formula(format_formula(f)) == f
+        assert atoms(f) == {"a"}
+        assert eval_formula(f, State.of("a")) == eval_under_interpretation(
+            f, Interpretation.of({"a": True}))
+        assert eval_formula(to_nnf(f), State()) == eval_formula(f, State())
+
+    @pytest.mark.parametrize("way", sorted(nested_formulas(2)))
+    def test_one_level_more_is_a_syntax_error(self, way):
+        text = nested_formulas(MAX_FORMULA_DEPTH + 1)[way]
+        with pytest.raises(FormulaSyntaxError,
+                           match=f"nests more than {MAX_FORMULA_DEPTH} deep"):
+            parse_formula(text)
+
+    @pytest.mark.parametrize("text, offset", [
+        ("(" * 300 + "a" + ")" * 300, MAX_FORMULA_DEPTH),
+        ("!" * 1000 + "a", MAX_FORMULA_DEPTH),
+        # the operator that makes the tree too high
+        (" & ".join(["a"] * (MAX_FORMULA_DEPTH + 2)),
+         4 * MAX_FORMULA_DEPTH + 2),
+        # a negation over a chain: the outermost negation is too high
+        ("!" * 60 + "(" + " | ".join(["a"] * 42) + ")", 0),
+    ])
+    def test_too_deep_formulas_name_the_offset(self, text, offset):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert err.value.offset == offset
+        assert "nests more than" in str(err.value)
 
 
 class TestState:

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_example_model
@@ -19,7 +19,7 @@ from wfcheck.fileio import (MAX_DEPTH, FileFormatError, ModelTooDeep,
                             dump_model, dump_rules, load_model, load_rules,
                             model_from_dict, model_to_dict, report_from_dict,
                             report_to_dict, rules_from_dict, rules_to_dict)
-from wfcheck.formula import parse_formula
+from wfcheck.formula import MAX_FORMULA_DEPTH, parse_formula
 from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, VariantTag,
                                  classify_variant)
@@ -182,6 +182,44 @@ class TestRuleFiles:
             rules_from_dict({"obligations": [
                 {"kind": "eventually", "requirement": "b",
                  "trigger": None, "deadline": None}]})
+
+
+DEEP_FORMULAS = ("(" * 300 + "a" + ")" * 300, "!" * 1000 + "a")
+
+# Keys and words of the two file formats, so that fuzzed values reach past
+# the top-level shape checks.
+FORMAT_KEYS = ("type", "id", "ann", "children", "root", "name",
+               "obligations", "kind", "requirement", "trigger", "deadline")
+FORMAT_WORDS = ("task", "seq", "xor", "and", "achievement", "maintenance",
+                "a", "-a", "b", "-", "t1", "start", "__t", "a & !b", "a ->",
+                "true", "")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(FORMAT_WORDS) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(FORMAT_KEYS) | st.text(max_size=3), kids,
+        max_size=6),
+    max_leaves=40)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=200)
+    @given(json_values)
+    @example({"obligations": [{"kind": "maintenance",
+                               "requirement": DEEP_FORMULAS[0]}]})
+    @example({"obligations": [{"kind": "achievement", "requirement": "b",
+                               "trigger": DEEP_FORMULAS[1],
+                               "deadline": "d"}]})
+    @example({"root": {"type": "task", "id": "t", "ann": [[[[["a"]]]]]}})
+    def test_any_json_value_loads_or_raises_value_error(self, value):
+        # any other exception fails the test: the CLI would not map it to
+        # exit 2
+        for loader in (model_from_dict, rules_from_dict):
+            try:
+                loader(value)
+            except ValueError:
+                pass
 
 
 class TestReportFiles:
@@ -387,6 +425,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"nests more than {MAX_DEPTH} deep" in err
+
+    @pytest.mark.parametrize("depth", [MAX_FORMULA_DEPTH,
+                                       MAX_FORMULA_DEPTH + 1])
+    def test_deep_formulas_check_or_exit_two_by_name(self, tmp_path, capsys,
+                                                     depth):
+        path = tmp_path / "deep.rules.json"
+        # depth - 2 negations, then a bracket and a negation inside it
+        deep = "!" * (depth - 2) + "(b | !b)"
+        path.write_text(json.dumps({"obligations": [
+            {"kind": "maintenance", "requirement": deep, "trigger": "a",
+             "deadline": "d"}]}))
+        code = main(["check", "--model", str(GOLDEN_MODEL), "--rules",
+                     str(path), "--mode", "full"])
+        out, err = capsys.readouterr()
+        if depth == MAX_FORMULA_DEPTH:
+            # an even number of negations over a tautology never fails
+            assert depth % 2 == 0 and code == 0
+            assert json.loads(out)["traces_examined"] == 4
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ")
+            assert f"formula nests more than {MAX_FORMULA_DEPTH} deep" \
+                in err
 
     def test_reduce_verify_tautology(self, capsys):
         assert main(["reduce", "--formula", "a | !a", "--verify"]) == 0
