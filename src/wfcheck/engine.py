@@ -8,16 +8,12 @@ short-circuits on the first witness, so verdict, witness and the examined
 count are reproducible run to run.  The examined count is the position of
 the witness in that order (or the whole space when there is none).
 
-Rules are judged online.  Each rule has a monitor, a small int that the
-walk folds along each edge together with the state: whether intervals are
-open (the pool, moved by ``obligations.pool_step``), whether one was
-violated, and for the strict reading whether a deadline state was seen.
-A local rule's trigger is judged on the task's annotation, its requirement
-and deadline on the state after the task; a global rule's pool is open
-from the first step, and its only deadline is the last state.  A run
-complies iff no monitor is dead and no achievement pool is still open at
-its end.  Runs that share a prefix share its monitors, and one ``SatCache``
-serves the whole scan.
+Rules are judged online.  The walk steps each rule's monitor
+(``obligations.monitor``) along each edge together with the state: a local
+rule's triggers are the tasks whose annotation satisfies its trigger, and
+its requirement and deadline are judged on the state after the task.  Runs
+that share a prefix share its monitors, and one ``SatCache`` serves the
+whole scan.
 
 Partial and non look for a complying run, and no run below a prefix with a
 dead monitor complies: the walk skips that subtree and counts its runs
@@ -35,9 +31,8 @@ from dataclasses import dataclass
 
 from .formula import EMPTY_STATE, State, update
 from .net import DEFAULT_CAP, Trace, walk_runs
-from .obligations import (POOL_DEAD, POOL_OPEN, Kind, Obligation, RuleSet,
-                          SatCache, eval_obligation, pool_satisfied_at_end,
-                          pool_step)
+from .obligations import (MONITOR_DEAD, RuleSet, SatCache, eval_obligation,
+                          monitor, monitor_complies)
 from .process import Model, Task, count_executions
 
 
@@ -70,59 +65,17 @@ def trace_complies(tr: Trace, rs: RuleSet, strict_deadline: bool = False,
                for o in rs.obligations)
 
 
-# Monitor bits: the pool of open intervals (POOL_OPEN), and for the strict
-# reading a deadline state seen.  A monitor with a violated interval is
-# _DEAD itself, whatever its bits were.
-_POOL, _DEAD, _SEEN = POOL_OPEN, 2, 4
-
-
-def _monitor(o: Obligation, tasks: list[Task], strict_deadline: bool,
-             holds):
-    """The start mark of o's monitor over runs of these tasks, and its
-    step over one edge."""
-    kind, requirement, deadline = o.kind, o.requirement, o.deadline
-    if o.is_global:
-        trigger_ids: frozenset[str] = frozenset()
-    else:
-        trigger_ids = frozenset(t.id for t in tasks
-                                if holds(o.trigger, t.annotation))
-    strict = (strict_deadline and kind is Kind.ACHIEVEMENT
-              and not o.is_global)
-
-    def step(mark: int, task: Task, state: State) -> int:
-        if mark == _DEAD:
-            return _DEAD
-        fires = task.id in trigger_ids
-        if fires and mark & _SEEN:  # opened after the first deadline state
-            return _DEAD
-        if mark & _POOL or fires:  # the state matters only to open ones
-            pool = pool_step(kind, mark & _POOL, fires,
-                             holds(requirement, state),
-                             deadline is not None and holds(deadline, state))
-            if pool == POOL_DEAD:
-                return _DEAD
-            mark = mark & _SEEN | pool
-        if strict and not mark & _SEEN and holds(deadline, state):
-            mark |= _SEEN
-        return mark
-
-    # a global rule's one interval is open from the first step
-    return (_POOL if o.is_global else 0), step
-
-
-def _complies(marks: tuple[int, ...], kinds: tuple[Kind, ...]) -> bool:
-    return all(mark != _DEAD and pool_satisfied_at_end(kind, mark & _POOL)
-               for mark, kind in zip(marks, kinds))
-
-
 def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
           strict_deadline: bool) -> tuple[Trace | None, int]:
     """First run whose compliance equals want, as a trace, plus the
     examined count."""
     holds = SatCache().holds
     tasks = model.tasks()
-    monitors = [_monitor(o, tasks, strict_deadline, holds)
-                for o in rules.obligations]
+    monitors = []
+    for o in rules.obligations:
+        triggers = frozenset(() if o.is_global else (
+            t.id for t in tasks if holds(o.trigger, t.annotation)))
+        monitors.append(monitor(o, triggers, strict_deadline, holds))
     steps = [step for _, step in monitors]
     kinds = tuple(o.kind for o in rules.obligations)
     skipped = 0
@@ -132,7 +85,7 @@ def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
         state = update(carry[0], task.annotation)
         marks = tuple([step(mark, task, state)
                        for step, mark in zip(steps, carry[1])])
-        if want and _DEAD in marks:
+        if want and MONITOR_DEAD in marks:
             skipped += count_executions(residual)
             return None
         return state, marks
@@ -141,7 +94,7 @@ def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
     examined = 0
     for run in walk_runs(model.root, cap, start, fold):
         examined += 1
-        if _complies(run[-1][1][1], kinds) == want:
+        if all(map(monitor_complies, run[-1][1][1], kinds)) == want:
             trace = Trace(tuple((task, carry[0]) for task, carry in run))
             return trace, examined + skipped
     return None, examined + skipped

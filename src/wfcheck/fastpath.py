@@ -1,23 +1,20 @@
 """Polynomial checking for a single local rule over literals.
 
-When requirement, trigger and deadline are all literals, everything a rule
-can observe about a run is the evolution of two truth values, plus which
-tasks trigger.  That evolution is a small automaton driven by task
-annotations, and the automaton's reachable states compose structurally:
-fold through sequence children, union over choice branches.  Parallel
-blocks have no cheap composition, so they are explored task by task on
-the run walk (``net.walk_runs``), which goes on from each (residual,
-automaton state) pair once, and refused when they admit more runs than a
-cap; choice-heavy models — where brute force blows up — stay polynomial.
+When requirement, trigger and deadline are all literals, all a rule can
+observe of a state is its projection onto the requirement and deadline
+literals: two truth bits.  The engine steps the rule's monitor
+(``obligations.monitor``, which the brute engine steps on whole states) on
+those bits, and the carries it can reach compose structurally: fold
+through sequence children, union over choice branches.  Parallel blocks
+have no cheap composition, so they are explored task by task on the run
+walk (``net.walk_runs``), which goes on from each (residual, carry) pair
+once, and refused when they admit more runs than a cap; choice-heavy
+models — where brute force blows up — stay polynomial.
 
-One automaton answers every query.  Given a set of trigger tasks, its
-state holds the truth of the requirement and deadline literals, whether
-some trigger has fired, whether intervals are open, or that one was
-violated.  Open intervals of the same rule always agree on the two truth
-values, so they resolve together and a single "pool open" bit suffices.
-With every trigger task in the set, the states a run can end in decide
-partial and full compliance exactly.  With the set {x}, the endings of the
-runs where x fired tell whether x's interval can be satisfied or violated.
+Every query steps that monitor for a set of trigger tasks.  With every
+trigger task in the set, the carries that runs end in decide partial and
+full compliance exactly.  With the set {x}, the endings of the runs where
+x fired tell whether x's interval can be satisfied or violated.
 
 The structural `erase` operation removes tasks from a model such that the
 surviving runs are exactly the original runs avoiding them; together with
@@ -29,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .formula import Literal, eval_formula, formula_to_literal
-from .net import walk_runs
-from .obligations import (POOL_DEAD, POOL_OPEN, Kind, Obligation, RuleSet,
-                          classify_variant, pool_satisfied_at_end, pool_step)
+from .formula import eval_formula, formula_to_literal
+from .net import Carry, walk_runs
+from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
+                          classify_variant, monitor, monitor_complies)
 from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
                       Xor, validate)
 
@@ -92,52 +89,23 @@ def _trigger_ids(m: Model, o: Obligation) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# the automaton
+# the rule's monitor on two truth bits
 #
-# States 0..15 carry four bits.  Requirement and deadline hold the current
-# truth of the two literals; an annotation sets a bit when it asserts the
-# atom, otherwise the old value persists — exactly the state-update
-# semantics projected onto one atom.  "Fired" records that some trigger in
-# the set has fired.  "Pool open" records that intervals are open: open
-# intervals of one rule always agree on the two truth values, so they
-# resolve together and one bit covers them all.  ``obligations.pool_step``
-# moves that bit, the same transition the brute engine's monitors take.
-# _DEAD is absorbing: some interval was violated.  Only a fired trigger
-# opens one, so _DEAD carries the fired bit too.
+# An annotation sets a bit when it asserts the literal, clears it when it
+# asserts the negation, and otherwise leaves it, as ``update`` does to the
+# whole state.  The carry is (bits, mark, whether a trigger in the set
+# fired).  A carry that can no longer change the outcome collapses to one
+# constant, which keeps reach sets small: _DEAD once an interval is
+# violated, _DECIDED once the only trigger has fired and its interval
+# closed (a task fires at most once per run).
 
-_POOL, _FIRED, _DEADLINE, _REQUIREMENT = POOL_OPEN, 2, 4, 8
-_DEAD = 16 | _FIRED
+_REQUIREMENT, _DEADLINE = 1, 2
+_DEAD, _DECIDED = (0, MONITOR_DEAD, True), (0, 0, True)
 
 
-_LiteralPair = tuple[Literal, Literal]  # a literal and its negation
-
-
-def _truth_after(lit: _LiteralPair, ann: frozenset, current: bool) -> bool:
-    if lit[0] in ann:
-        return True
-    if lit[1] in ann:
-        return False
-    return current
-
-
-def _run_step(state: int, task: Task, trigger_ids: frozenset[str],
-              kind: Kind, rho: _LiteralPair, delta: _LiteralPair) -> int:
-    if state == _DEAD:
-        return _DEAD
-    ann = task.annotation.literals
-    rt = _truth_after(rho, ann, bool(state & _REQUIREMENT))
-    dt = _truth_after(delta, ann, bool(state & _DEADLINE))
-    fires = task.id in trigger_ids
-    pool = pool_step(kind, state & _POOL, fires, rt, dt)
-    if pool == POOL_DEAD:
-        return _DEAD
-    fired = fires or bool(state & _FIRED)
-    return rt * _REQUIREMENT + dt * _DEADLINE + fired * _FIRED + pool
-
-
-def _reach(block: ProcessBlock, states: frozenset[int],
-           step: Callable[[int, Task], int], cap: int) -> frozenset[int]:
-    """Automaton states reachable after some run of the block."""
+def _reach(block: ProcessBlock, states: frozenset[Carry],
+           step: Callable[[Carry, Task], Carry], cap: int) -> frozenset:
+    """Carries reachable after some run of the block."""
     if isinstance(block, TaskBlock):
         return frozenset(step(s, block.task) for s in states)
     if isinstance(block, Seq):
@@ -145,17 +113,16 @@ def _reach(block: ProcessBlock, states: frozenset[int],
             states = _reach(child, states, step, cap)
         return states
     if isinstance(block, Xor):
-        out: set[int] = set()
+        out: set[Carry] = set()
         for child in block.children:
             out |= _reach(child, states, step, cap)
         return frozenset(out)
     if isinstance(block, AndBlock):
-        # interleavings that reach the same (residual, automaton state)
-        # pair share everything after it, so the walk goes on from each
-        # pair once
+        # interleavings that reach the same (residual, carry) pair share
+        # everything after it, so the walk goes on from each pair once
         seen = set()
 
-        def fold(s: int, task: Task, after: ProcessBlock) -> int | None:
+        def fold(s: Carry, task: Task, after: ProcessBlock) -> Carry | None:
             s = step(s, task)
             if (after, s) in seen:
                 return None
@@ -168,25 +135,44 @@ def _reach(block: ProcessBlock, states: frozenset[int],
 
 
 def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
-             and_cap: int) -> frozenset[int]:
-    """States the automaton ends some run of m in; o is already known to
-    be a local literal rule."""
-    rho = formula_to_literal(o.requirement)
-    delta = formula_to_literal(o.deadline)
+             and_cap: int) -> frozenset[Carry]:
+    """Carries o's monitor ends some run of m in, stepped on the state
+    projected onto o's literals; o is a local literal rule."""
+    literals = [(lit, lit.negate(), bit) for lit, bit in (
+        (formula_to_literal(o.requirement), _REQUIREMENT),
+        (formula_to_literal(o.deadline), _DEADLINE))]
+    masks = {}  # task id -> (bits kept, bits set)
+    for t in m.tasks():
+        ann, keep, put = t.annotation.literals, 3, 0
+        for lit, negation, bit in literals:
+            if lit in ann:
+                put |= bit
+            elif negation in ann:
+                keep ^= bit
+        masks[t.id] = keep, put
+
+    def holds(f, bits: int) -> bool:
+        return bool(bits & (_REQUIREMENT if f is o.requirement else _DEADLINE))
+
+    mark, monitor_step = monitor(o, trigger_ids, False, holds)
+    single = len(trigger_ids) == 1
+
+    def step(carry, task: Task):
+        if carry is _DEAD or carry is _DECIDED:
+            return carry
+        keep, put = masks[task.id]
+        bits = carry[0] & keep | put
+        mark = monitor_step(carry[1], task, bits)
+        if mark == MONITOR_DEAD:
+            return _DEAD
+        fired = carry[2] or task.id in trigger_ids
+        if single and fired and not mark:
+            return _DECIDED
+        return bits, mark, fired
+
     # the empty starting state makes atoms false, so negative literals hold
-    start = ((not rho.positive) * _REQUIREMENT
-             + (not delta.positive) * _DEADLINE)
-    rho, delta = (rho, rho.negate()), (delta, delta.negate())
-
-    def step(s: int, task: Task) -> int:
-        return _run_step(s, task, trigger_ids, o.kind, rho, delta)
-
-    return _reach(m.root, frozenset((start,)), step, and_cap)
-
-
-def _ending_complies(state: int, kind: Kind) -> bool:
-    return pool_satisfied_at_end(
-        kind, POOL_DEAD if state == _DEAD else state & _POOL)
+    start = sum(bit for lit, _, bit in literals if not lit.positive)
+    return _reach(m.root, frozenset(((start, mark, False),)), step, and_cap)
 
 
 def _interval_outcomes(m: Model, o: Obligation, x: Task,
@@ -194,9 +180,9 @@ def _interval_outcomes(m: Model, o: Obligation, x: Task,
     """Whether x's interval is satisfied, over the runs containing x."""
     if x.id not in _trigger_ids(m, o):
         raise ValueError(f"{x.id!r} is not a trigger task of this rule")
-    return {_ending_complies(s, o.kind)
-            for s in _endings(m, o, frozenset((x.id,)), and_cap)
-            if s & _FIRED}
+    return {monitor_complies(mark, o.kind)
+            for _, mark, fired in _endings(m, o, frozenset((x.id,)), and_cap)
+            if fired}
 
 
 def instance_satisfiable(m: Model, o: Obligation, x: Task,
@@ -221,15 +207,15 @@ def label_triggers(m: Model, o: Obligation,
 def partial_compliant_fast(m: Model, o: Obligation,
                            and_cap: int = DEFAULT_AND_CAP) -> bool:
     """True iff some run satisfies every interval it opens."""
-    return any(_ending_complies(s, o.kind)
-               for s in _endings(m, o, _trigger_ids(m, o), and_cap))
+    return any(monitor_complies(mark, o.kind)
+               for _, mark, _ in _endings(m, o, _trigger_ids(m, o), and_cap))
 
 
 def full_compliant_fast(m: Model, o: Obligation,
                         and_cap: int = DEFAULT_AND_CAP) -> bool:
     """True iff every run satisfies every interval it opens."""
-    return all(_ending_complies(s, o.kind)
-               for s in _endings(m, o, _trigger_ids(m, o), and_cap))
+    return all(monitor_complies(mark, o.kind)
+               for _, mark, _ in _endings(m, o, _trigger_ids(m, o), and_cap))
 
 
 def _erase_block(block: ProcessBlock,

@@ -19,9 +19,10 @@ share is folded once, not once per run, and a caller can prune a subtree
 whose runs it no longer needs.  ``enumerate_traces`` carries the state
 after each task and yields each run as a trace; ``enumerate_executions``
 carries nothing; the brute engine carries the state plus its rule
-monitors; the fast engine walks an and-block carrying its automaton
-state, and prunes (remaining block, state) pairs it has already seen.  ``derive_trace`` folds one run from the empty state and is the
-reference the carried states must equal.
+monitors; the fast engine walks an and-block carrying one rule's monitor
+on two truth bits, and prunes (remaining block, carry) pairs it has seen.
+``derive_trace`` folds one run from the empty state and is the reference
+the carried states must equal.
 """
 from __future__ import annotations
 

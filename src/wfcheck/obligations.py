@@ -15,11 +15,13 @@ relies on it.
 The in-force intervals of one rule that are open at the same time always
 agree on what they still wait for, so they resolve together, and one
 "pool" stands for all of them.  ``pool_step`` moves the pool over one step
-of a run and ``pool_satisfied_at_end`` reads it at the run's end; both
-engines step their monitors with it, the brute engine on formulas judged
-on states, the fast engine on literal truth bits.  The trace-level
-evaluation here (``in_force_intervals``, ``eval_obligation``) is the
-reference those monitors must agree with.
+of a run and ``pool_satisfied_at_end`` reads it at the run's end.  A rule's
+``monitor`` is that pool, a "deadline seen" bit for the strict reading, or
+dead once an interval is violated; a global rule's pool is open from the
+first step.  Both engines step the one monitor, the brute engine on whole
+states, the fast engine on the state projected onto two literals.  The
+trace-level evaluation here (``in_force_intervals``, ``eval_obligation``)
+is the reference the monitor must agree with.
 """
 from __future__ import annotations
 
@@ -100,6 +102,49 @@ def pool_satisfied_at_end(kind: Kind, pool: int) -> bool:
     missed its requirement there, an open maintenance one held to it."""
     return pool == POOL_CLOSED or (
         pool == POOL_OPEN and kind is Kind.MAINTENANCE)
+
+
+# Monitor marks: the pool bit, the strict reading's "deadline seen" bit,
+# and the dead mark, which a violated interval leaves whatever the bits.
+_POOL, MONITOR_DEAD, _SEEN = POOL_OPEN, 2, 4
+
+
+def monitor(o: Obligation, trigger_ids: frozenset[str],
+            strict_deadline: bool, holds):
+    """The start mark of o's monitor, and its step over one edge of a run.
+
+    ``trigger_ids`` are the tasks that open an interval; ``holds(f, state)``
+    judges the requirement and deadline on the state after a task, in
+    whatever form the caller's states take.
+    """
+    kind, requirement, deadline = o.kind, o.requirement, o.deadline
+    strict = (strict_deadline and kind is Kind.ACHIEVEMENT
+              and not o.is_global)
+
+    def step(mark: int, task: Task, state) -> int:
+        if mark == MONITOR_DEAD:
+            return MONITOR_DEAD
+        fires = task.id in trigger_ids
+        if fires and mark & _SEEN:  # opened after the first deadline state
+            return MONITOR_DEAD
+        if mark & _POOL or fires:  # the state matters only to open ones
+            pool = pool_step(kind, mark & _POOL, fires,
+                             holds(requirement, state),
+                             deadline is not None and holds(deadline, state))
+            if pool == POOL_DEAD:
+                return MONITOR_DEAD
+            mark = mark & _SEEN | pool
+        if strict and not mark & _SEEN and holds(deadline, state):
+            mark |= _SEEN
+        return mark
+
+    # a global rule's one interval is open from the first step
+    return (_POOL if o.is_global else 0), step
+
+
+def monitor_complies(mark: int, kind: Kind) -> bool:
+    """Whether a run that ends with this mark satisfies the rule."""
+    return mark != MONITOR_DEAD and pool_satisfied_at_end(kind, mark & _POOL)
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,22 @@ import pytest
 from conftest import build_example_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import any_obligations, linear_traces, make_trace, models, \
-    rule_sets
+from strategies import any_obligations, linear_traces, literals, \
+    make_trace, models, rule_sets
 from test_obligations import CountingCache
 
-from wfcheck import engine
+from wfcheck import engine, fastpath
 from wfcheck.engine import (check_full, check_non, check_partial, run_check,
                             trace_complies)
 from wfcheck.fastpath import WrongVariant
-from wfcheck.formula import Literal, State, parse_formula
+from wfcheck.formula import Literal, State, eval_formula, parse_formula
 from wfcheck.net import ExecutionCapExceeded, derive_trace, \
     enumerate_executions, enumerate_traces
 from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, SatCache,
-                                 VariantTag, eval_obligation)
-from wfcheck.process import seq, task, validate, xor
+                                 VariantTag, eval_obligation, monitor,
+                                 monitor_complies)
+from wfcheck.process import TaskBlock, seq, task, validate, xor
 from wfcheck.reduction import build_interpretation_model
 
 ROW1 = make_trace(("t1", "a"), ("t3", "c", "d"), ("t4", "-a"))
@@ -195,13 +196,44 @@ def test_brute_reports_equal_the_reference_scan_on_random_models(
     assert_matches_reference(m, rs, mode, strict)
 
 
+def test_fast_verdicts_equal_the_reference_scan():
+    # criterion 6's instances; the fast engine and the brute engine step
+    # one monitor, so this compares the fast engine with the run-by-run
+    # trace evaluation instead
+    for seed in range(300):
+        m, rs = generate_instance(GeneratorConfig(
+            seed=seed, max_tasks=10, atom_pool=6,
+            variant=VariantTag(True, False, True)))
+        for mode in ("full", "partial", "non"):
+            assert run_check(m, rs, mode, engine="fast").verdict \
+                == reference_report(m, rs, mode, False)[0]
+
+
+def trace_trigger_ids(tr, o, holds):
+    return frozenset(() if o.is_global else (
+        t.id for t in tr.tasks() if holds(o.trigger, t.annotation)))
+
+
 def monitor_verdict(tr, o, strict):
-    """Step o's brute-engine monitor along a trace and read it at the end."""
+    """Step o's monitor along a trace, on the states as the brute engine
+    does, and read it at the end."""
     holds = SatCache().holds
-    mark, step = engine._monitor(o, list(tr.tasks()), strict, holds)
+    mark, step = monitor(o, trace_trigger_ids(tr, o, holds), strict, holds)
     for task_, state in tr.steps:
         mark = step(mark, task_, state)
-    return engine._complies((mark,), (o.kind,))
+    return monitor_complies(mark, o.kind)
+
+
+def fast_monitor_verdict(tr, o):
+    """Step o's monitor along a trace on the fast engine's two truth bits,
+    and read it at the end."""
+    m = validate(seq(*map(TaskBlock, tr.tasks()[1:-1])))
+    (carry,) = fastpath._endings(m, o, trace_trigger_ids(tr, o, eval_formula),
+                                 fastpath.DEFAULT_AND_CAP)
+    return monitor_complies(carry[1], o.kind)
+
+
+LITERAL_FIELDS = literals().map(lambda lit: lit.to_formula())
 
 
 def prefix_edges(m):
@@ -234,12 +266,19 @@ def xor_chain(n):
 
 class TestMonitors:
     @settings(max_examples=150)
-    @given(linear_traces(max_len=12), any_obligations(), st.booleans())
-    def test_monitor_verdict_equals_the_reference(self, tr, o, strict):
+    @given(linear_traces(max_len=12), any_obligations(), st.booleans(),
+           st.builds(Obligation, st.sampled_from(Kind), LITERAL_FIELDS,
+                     LITERAL_FIELDS, LITERAL_FIELDS))
+    def test_monitor_verdict_equals_the_reference(self, tr, o, strict,
+                                                  literal_rule):
         # global and local rules of both kinds; strict only changes local
         # achievement rules
         assert monitor_verdict(tr, o, strict) == eval_obligation(
             tr, o, strict).satisfied
+        # a local literal rule of either kind, on the state projected onto
+        # its two literals
+        assert fast_monitor_verdict(tr, literal_rule) == eval_obligation(
+            tr, literal_rule).satisfied
 
     def test_holds_calls_grow_with_edges_not_with_run_length(
             self, monkeypatch):
