@@ -14,7 +14,10 @@ models — where brute force blows up — stay polynomial.
 Every query steps that monitor for a set of trigger tasks.  With every
 trigger task in the set, the carries that runs end in decide partial and
 full compliance exactly.  With the set {x}, the endings of the runs where
-x fired tell whether x's interval can be satisfied or violated.
+x fired tell whether x's interval can be satisfied or violated.  A query
+walks the model's task list once, for the trigger tasks and for how each
+task moves the two bits; ``label_triggers`` shares that walk among its
+triggers.
 
 The structural `erase` operation removes tasks from a model such that the
 surviving runs are exactly the original runs avoiding them; together with
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .formula import eval_formula, formula_to_literal
+from .formula import EMPTY_STATE, eval_formula, formula_to_literal
 from .net import Carry, walk_runs
 from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
                           classify_variant, monitor, monitor_complies)
@@ -76,16 +79,7 @@ def require_single_local_literal(rs: RuleSet) -> Obligation:
 
 def trigger_transitions(m: Model, o: Obligation) -> list[Task]:
     """Tasks whose annotation satisfies the trigger, in declaration order."""
-    if o.is_global:
-        raise NotLiteralVariant("rule has no trigger: nothing to anchor at")
-    if not o.literal_fields():
-        raise NotLiteralVariant(
-            "requirement, trigger and deadline must all be literals")
-    return [t for t in m.tasks() if eval_formula(o.trigger, t.annotation)]
-
-
-def _trigger_ids(m: Model, o: Obligation) -> frozenset[str]:
-    return frozenset(t.id for t in trigger_transitions(m, o))
+    return list(_scan_tasks(m, o)[0].values())
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +128,38 @@ def _reach(block: ProcessBlock, states: frozenset[Carry],
     raise TypeError(f"not a process block: {block!r}")
 
 
-def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
-             and_cap: int) -> frozenset[Carry]:
-    """Carries o's monitor ends some run of m in, stepped on the state
-    projected onto o's literals; o is a local literal rule."""
+def _scan_tasks(m: Model, o: Obligation
+                ) -> tuple[dict[str, Task], dict[str, tuple[int, int]]]:
+    """o's trigger tasks by id, in declaration order, and each task's masks
+    on o's two truth bits, (bits kept, bits set), from one walk over m's
+    tasks."""
+    if o.is_global:
+        raise NotLiteralVariant("rule has no trigger: nothing to anchor at")
+    if not o.literal_fields():
+        raise NotLiteralVariant(
+            "requirement, trigger and deadline must all be literals")
     literals = [(lit, lit.negate(), bit) for lit, bit in (
         (formula_to_literal(o.requirement), _REQUIREMENT),
         (formula_to_literal(o.deadline), _DEADLINE))]
-    masks = {}  # task id -> (bits kept, bits set)
+    triggers, masks = {}, {}
     for t in m.tasks():
-        ann, keep, put = t.annotation.literals, 3, 0
+        ann, keep, put = t.annotation, 3, 0
         for lit, negation, bit in literals:
             if lit in ann:
                 put |= bit
             elif negation in ann:
                 keep ^= bit
         masks[t.id] = keep, put
+        if eval_formula(o.trigger, ann):
+            triggers[t.id] = t
+    return triggers, masks
 
+
+def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
+             masks: dict[str, tuple[int, int]],
+             and_cap: int) -> frozenset[Carry]:
+    """Carries o's monitor ends some run of m in, stepped on the state
+    projected onto o's literals by ``masks`` (from ``_scan_tasks``)."""
     def holds(f, bits: int) -> bool:
         return bool(bits & (_REQUIREMENT if f is o.requirement else _DEADLINE))
 
@@ -170,52 +179,66 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
             return _DECIDED
         return bits, mark, fired
 
-    # the empty starting state makes atoms false, so negative literals hold
-    start = sum(bit for lit, _, bit in literals if not lit.positive)
+    # runs start empty, where exactly the negative literals hold
+    start = sum(bit for f, bit in ((o.requirement, _REQUIREMENT),
+                                   (o.deadline, _DEADLINE))
+                if eval_formula(f, EMPTY_STATE))
     return _reach(m.root, frozenset(((start, mark, False),)), step, and_cap)
 
 
 def _interval_outcomes(m: Model, o: Obligation, x: Task,
+                       triggers: dict[str, Task],
+                       masks: dict[str, tuple[int, int]],
                        and_cap: int) -> set[bool]:
-    """Whether x's interval is satisfied, over the runs containing x."""
-    if x.id not in _trigger_ids(m, o):
+    """Whether x's interval is satisfied, over the runs containing x;
+    ``triggers`` and ``masks`` are ``_scan_tasks``'s."""
+    if x.id not in triggers:
         raise ValueError(f"{x.id!r} is not a trigger task of this rule")
     return {monitor_complies(mark, o.kind)
-            for _, mark, fired in _endings(m, o, frozenset((x.id,)), and_cap)
+            for _, mark, fired in _endings(m, o, frozenset((x.id,)), masks,
+                                           and_cap)
             if fired}
+
+
+def _run_outcomes(m: Model, o: Obligation, and_cap: int) -> set[bool]:
+    """Whether o is satisfied, over all runs of m."""
+    triggers, masks = _scan_tasks(m, o)
+    return {monitor_complies(mark, o.kind)
+            for _, mark, _ in _endings(m, o, frozenset(triggers), masks,
+                                       and_cap)}
 
 
 def instance_satisfiable(m: Model, o: Obligation, x: Task,
                          and_cap: int = DEFAULT_AND_CAP) -> bool:
     """Can some run containing x satisfy the interval x opens?"""
-    return True in _interval_outcomes(m, o, x, and_cap)
+    return True in _interval_outcomes(m, o, x, *_scan_tasks(m, o), and_cap)
 
 
 def instance_violable(m: Model, o: Obligation, x: Task,
                       and_cap: int = DEFAULT_AND_CAP) -> bool:
     """Can some run containing x violate the interval x opens?"""
-    return False in _interval_outcomes(m, o, x, and_cap)
+    return False in _interval_outcomes(m, o, x, *_scan_tasks(m, o), and_cap)
 
 
 def label_triggers(m: Model, o: Obligation,
                    and_cap: int = DEFAULT_AND_CAP) -> list[TriggerAnalysis]:
     """Per-trigger satisfiability labelling, in declaration order."""
-    return [TriggerAnalysis(x, instance_satisfiable(m, o, x, and_cap))
-            for x in trigger_transitions(m, o)]
+    triggers, masks = _scan_tasks(m, o)
+    return [TriggerAnalysis(x, True in _interval_outcomes(
+                m, o, x, triggers, masks, and_cap))
+            for x in triggers.values()]
 
 
 def partial_compliant_fast(m: Model, o: Obligation,
                            and_cap: int = DEFAULT_AND_CAP) -> bool:
     """True iff some run satisfies every interval it opens."""
-    return any(monitor_complies(mark, o.kind)
-               for _, mark, _ in _endings(m, o, _trigger_ids(m, o), and_cap))
+    return True in _run_outcomes(m, o, and_cap)
 
 
 def full_compliant_fast(m: Model, o: Obligation,
                         and_cap: int = DEFAULT_AND_CAP) -> bool:
     """True iff every run satisfies every interval it opens."""
-    return all(monitor_complies(mark, o.kind)
-               for _, mark, _ in _endings(m, o, _trigger_ids(m, o), and_cap))
+    return False not in _run_outcomes(m, o, and_cap)
 
 
 def _erase_block(block: ProcessBlock,

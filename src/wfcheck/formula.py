@@ -4,10 +4,18 @@ States are consistent sets of literals built up by annotated tasks.  A state
 does not mention every atom, so formula evaluation over a state reads an
 absent atom as false (closed-world).  Total interpretations are kept as a
 separate type for the truth-table side of things.
+
+A state is stored as two bit masks, the atoms it asserts and the atoms it
+negates, over one atom table per process: each atom name gets the next bit
+the first time any state mentions it.  Consistency (no atom in both masks)
+is still checked on every construction, ``update`` included, as one
+``&``.  The table is private to this module; what a state prints, iterates
+and compares does not depend on the order atoms were numbered in.
 """
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
@@ -131,47 +139,134 @@ def parse_literal(text: str) -> Literal:
     return Literal(text, True)
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# states
+#
+# A state is two bit masks over one process-wide atom numbering: bit i of
+# ``pos`` holds when atom i is asserted, bit i of ``neg`` when its negation
+# is.  Atoms are numbered first come, first numbered, so the numbering
+# depends on what a process met first; nothing outside this section reads
+# it, and nothing a state shows (its literals as a set, sorted or as text)
+# depends on it.
+
+_BITS: dict[str, int] = {}  # atom name -> its bit
+_PAIRS: list[tuple[Literal, Literal]] = []  # bit index -> (a, -a)
+_REGISTER = threading.Lock()
+_new_state = object.__new__
+
+
+def _bit(atom: str) -> int:
+    """The atom's bit; a new atom gets the next one, under the lock."""
+    bit = _BITS.get(atom)
+    if bit is None:
+        with _REGISTER:
+            bit = _BITS.get(atom)
+            if bit is None:
+                _PAIRS.append((Literal(atom, True), Literal(atom, False)))
+                bit = _BITS[atom] = 1 << (len(_PAIRS) - 1)
+    return bit
+
+
+def _indices(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _from_masks(pos: int, neg: int) -> "State":
+    """The state with these masks; an atom in both is an error."""
+    if pos & neg:
+        atom = min(_PAIRS[i][0].atom for i in _indices(pos & neg))
+        raise InconsistentInput(f"state holds both {atom} and -{atom}")
+    s = _new_state(State)
+    s.pos = pos
+    s.neg = neg
+    s.key = (pos, neg)
+    return s
+
+
 class State:
-    """A consistent set of literals; the knowledge carried along a trace."""
+    """A consistent set of literals; the knowledge carried along a trace.
 
-    literals: frozenset[Literal] = frozenset()
+    Every construction checks consistency.  ``key`` identifies the state
+    by value and hashes in C, for use as a table key.  States are not to be
+    mutated; each caches its sorted literals and its text on first use.
+    """
 
-    def __post_init__(self):
-        by_atom: dict[str, Literal] = {}
-        for lit in self.literals:
-            other = by_atom.get(lit.atom)
-            if other is not None and other.positive != lit.positive:
-                raise InconsistentInput(
-                    f"state holds both {lit.atom} and -{lit.atom}")
-            by_atom[lit.atom] = lit
+    __slots__ = ("pos", "neg", "key", "_sorted", "_text")
+
+    def __new__(cls, literals: Iterable[Literal] = ()) -> "State":
+        pos = neg = 0
+        for lit in literals:
+            if lit.positive:
+                pos |= _bit(lit.atom)
+            else:
+                neg |= _bit(lit.atom)
+        return _from_masks(pos, neg)
 
     @classmethod
     def of(cls, *literals: str | Literal) -> "State":
-        parsed = [parse_literal(l) if isinstance(l, str) else l
-                  for l in literals]
-        return cls(frozenset(parsed))
+        return cls(parse_literal(l) if isinstance(l, str) else l
+                   for l in literals)
+
+    @property
+    def literals(self) -> frozenset[Literal]:
+        return frozenset(self)
 
     def holds(self, lit: Literal) -> bool:
-        return lit in self.literals
+        return lit in self
 
     def atoms(self) -> frozenset[str]:
-        return frozenset(l.atom for l in self.literals)
+        return frozenset(_PAIRS[i][0].atom
+                         for i in _indices(self.pos | self.neg))
 
     def sorted_literals(self) -> list[Literal]:
-        return sorted(self.literals, key=lambda l: (l.atom, not l.positive))
+        try:
+            return list(self._sorted)
+        except AttributeError:  # atoms are distinct in a consistent state
+            self._sorted = tuple(sorted(self, key=lambda l: l.atom))
+            return list(self._sorted)
 
-    def __contains__(self, lit: Literal) -> bool:
-        return lit in self.literals
+    def __contains__(self, lit: object) -> bool:
+        if not isinstance(lit, Literal):
+            return False
+        mask = self.pos if lit.positive else self.neg
+        return bool(mask & _BITS.get(lit.atom, 0))
 
     def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
+        for i in _indices(self.pos):
+            yield _PAIRS[i][0]
+        for i in _indices(self.neg):
+            yield _PAIRS[i][1]
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return self.pos.bit_count() + self.neg.bit_count()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, State):
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __reduce__(self):
+        # the masks mean nothing in another process: pickle the literals
+        return State, (tuple(self.sorted_literals()),)
+
+    def __repr__(self):
+        return "State.of({})".format(
+            ", ".join(repr(str(l)) for l in self.sorted_literals()))
 
     def __str__(self):
-        return "{" + ", ".join(str(l) for l in self.sorted_literals()) + "}"
+        try:
+            return self._text
+        except AttributeError:
+            self._text = "{" + ", ".join(
+                str(l) for l in self.sorted_literals()) + "}"
+            return self._text
 
 
 EMPTY_STATE = State()
@@ -181,18 +276,17 @@ def update(s1: State, s2: State) -> State:
     """Overwrite s1 with the literals of s2, retracting clashing ones.
 
     The result keeps every literal of s1 whose negation is not asserted by
-    s2, plus everything in s2.  Both arguments must already be consistent
-    (State enforces that), so the result is consistent too.  Since s2 holds
-    one polarity per atom, dropping every s1 literal on an atom s2 mentions
-    and then adding s2 gives that set without building the negations.
+    s2, plus everything in s2.  Since s2 holds one polarity per atom,
+    clearing both of s1's bits on every atom s2 mentions and then setting
+    s2's bits gives that set without building the negations.
     """
     if not isinstance(s1, State) or not isinstance(s2, State):
         raise InconsistentInput("update expects two State values")
-    if not s2.literals:
+    mentioned = s2.pos | s2.neg
+    if not mentioned:
         return s1
-    mentioned = {lit.atom for lit in s2.literals}
-    return State(frozenset(l for l in s1.literals if l.atom not in mentioned)
-                 | s2.literals)
+    return _from_masks(s1.pos & ~mentioned | s2.pos,
+                       s1.neg & ~mentioned | s2.neg)
 
 
 @dataclass(frozen=True)
@@ -401,7 +495,7 @@ def _format(f: Formula, parent: int) -> str:
 def eval_formula(f: Formula, s: State) -> bool:
     """Closed-world truth of f over a state: absent atoms read as false."""
     if isinstance(f, Atom):
-        return Literal(f.name, True) in s
+        return bool(s.pos & _BITS.get(f.name, 0))
     if isinstance(f, Not):
         return not eval_formula(f.operand, s)
     if isinstance(f, And):

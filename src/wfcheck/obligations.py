@@ -45,8 +45,9 @@ class SatCache:
     """Memo for formula-over-state checks; one engine run shares one.
 
     Formulas are keyed by identity: ``memo`` maps ``id(f)`` to ``f`` and
-    its table of truth values per state, so a lookup hashes an int and a
-    state and never walks the formula tree.  The entry keeps ``f`` alive,
+    its table of truth values per state, keyed by ``State.key``.  So a
+    lookup hashes an int and a pair of ints, never walks the formula tree
+    and calls no Python-level ``__hash__``.  The entry keeps ``f`` alive,
     so its id is not reused while the cache lives.  Equal formulas that are
     distinct objects just get tables of their own.
     """
@@ -60,9 +61,9 @@ class SatCache:
             entry = self.memo[id(f)] = (f, {})
         table = entry[1]
         try:
-            return table[s]
+            return table[s.key]
         except KeyError:
-            value = table[s] = eval_formula(f, s)
+            value = table[s.key] = eval_formula(f, s)
             return value
 
 

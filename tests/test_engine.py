@@ -228,8 +228,9 @@ def fast_monitor_verdict(tr, o):
     """Step o's monitor along a trace on the fast engine's two truth bits,
     and read it at the end."""
     m = validate(seq(*map(TaskBlock, tr.tasks()[1:-1])))
+    _, masks = fastpath._scan_tasks(m, o)
     (carry,) = fastpath._endings(m, o, trace_trigger_ids(tr, o, eval_formula),
-                                 fastpath.DEFAULT_AND_CAP)
+                                 masks, fastpath.DEFAULT_AND_CAP)
     return monitor_complies(carry[1], o.kind)
 
 

@@ -1,9 +1,13 @@
 """Formula parsing, closed-world evaluation, state update, truth tables."""
+import pickle
+import sys
+import threading
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from strategies import ATOM_POOL, formulas, states
+from strategies import ATOM_POOL, formulas, literals, states
 from wfcheck.formula import (FALSE, MAX_FORMULA_DEPTH, TRUE, And, Atom,
                              FormulaSyntaxError, Implies, InconsistentInput,
                              Interpretation, Literal, MissingAtom, Not, Or,
@@ -195,7 +199,74 @@ class TestNestingLimit:
         assert "nests more than" in str(err.value)
 
 
+# More atom names than a machine word has bits.  Numbering them all up
+# front gives at least 16 of them bits past 64, so states drawn from them
+# span wide masks.
+WIDE_POOL = tuple(f"w{i}" for i in range(80))
+WIDE_LITERALS = [Literal(a, v) for a in WIDE_POOL for v in (True, False)]
+State(Literal(a) for a in WIDE_POOL)
+
+
 class TestState:
+    @given(st.frozensets(literals(WIDE_POOL), max_size=40),
+           st.frozensets(literals(WIDE_POOL), max_size=40))
+    @example(frozenset(Literal(a) for a in WIDE_POOL),
+             frozenset(Literal(a, False) for a in WIDE_POOL))
+    @example(frozenset(Literal(a, v) for a in ("w9", "w10", "w79")
+                       for v in (True, False)), frozenset())
+    def test_matches_a_frozenset_of_literals(self, lits, other):
+        clashes = sorted({lit.atom for lit in lits if lit.negate() in lits})
+        if clashes:
+            first = clashes[0]
+            with pytest.raises(InconsistentInput,
+                               match=f"both {first} and -{first}$"):
+                State(lits)
+            return
+        s = State(lits)
+        assert s.literals == frozenset(s) == lits
+        assert len(s) == len(list(s)) == len(lits)
+        assert all((lit in s) == s.holds(lit) == (lit in lits)
+                   for lit in WIDE_LITERALS)
+        assert s.atoms() == {lit.atom for lit in lits}
+        ordered = sorted(lits, key=lambda lit: (lit.atom, not lit.positive))
+        assert s.sorted_literals() == ordered
+        assert str(s) == "{" + ", ".join(map(str, ordered)) + "}"
+        again = State.of(*reversed(ordered))
+        assert again == s and hash(again) == hash(s)
+        assert pickle.loads(pickle.dumps(s)) == s
+        if not any(lit.negate() in other for lit in other):
+            assert (State(other) == s) == (other == lits)
+
+    def test_threads_numbering_new_atoms_give_each_atom_one_bit(self):
+        names = [f"thread_atom{i}" for i in range(1000)]
+        built = [{} for _ in range(8)]
+        start = threading.Barrier(len(built))
+
+        def build(k):
+            start.wait()  # all threads meet each new atom at once
+            for name in names:
+                built[k][name] = State.of(name, "-" + name + "_neg")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,))
+                       for k in range(len(built))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # an atom numbered twice would make one thread's state differ from
+        # another's; two atoms sharing a bit would make states collide
+        for name in names:
+            expected = State.of(name, "-" + name + "_neg")
+            assert all(b[name] == expected for b in built)
+            assert str(expected) == f"{{{name}, -{name}_neg}}"
+        assert len({b[name] for b in built for name in names}) == len(names)
+
     def test_inconsistent_rejected(self):
         with pytest.raises(InconsistentInput):
             State.of("a", "-a")
@@ -234,12 +305,12 @@ class TestState:
         result = update(s1, s2)
         assert s2.literals <= result.literals
 
-    @given(states(), states())
+    @given(states(WIDE_POOL), states(WIDE_POOL))
     def test_update_retracts_the_negations_of_the_new_literals(self, s1, s2):
         retracted = {lit.negate() for lit in s2}
-        expected = State(frozenset(l for l in s1 if l not in retracted)
-                         | s2.literals)
-        assert update(s1, s2) == expected
+        expected = frozenset(l for l in s1 if l not in retracted) | s2.literals
+        assert update(s1, s2).literals == expected
+        assert update(s1, s2) == State(expected)
 
     def test_update_with_empty_keeps_the_state(self):
         s = State.of("a", "-b")

@@ -2,6 +2,7 @@
 import csv
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import build_example_model
 from strategies import models, rule_sets
+from test_acceptance import _render_everything
 from wfcheck.cli import main
 from wfcheck.bench import CSV_HEADER, run_bench
 from wfcheck.engine import run_check
@@ -27,6 +29,8 @@ from wfcheck.process import (DuplicateTaskId, InconsistentAnnotation,
                              InvalidTaskId)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 GOLDEN_MODEL = DATA / "parallel_choice.model.json"
 GOLDEN_RULES = DATA / "parallel_choice.rules.json"
 
@@ -478,6 +482,48 @@ class TestCli:
              "--rules", str(GOLDEN_RULES)],
             capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == "1L-"
+
+
+def run_python(args, hash_seed: int, **kwargs):
+    """Run a fresh interpreter on src/ and tests/ under a fixed hash seed."""
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, **kwargs)
+
+
+class TestAtomNumbering:
+    """States number atoms first come, first numbered, so the numbering
+    differs between processes; nothing printed may depend on it, nor on
+    the hash seed."""
+
+    @pytest.mark.parametrize("ann", [["a", "-a", "b", "-b"],
+                                     ["b", "-b", "a", "-a"]])
+    def test_clash_message_names_the_first_atom_under_every_hash_seed(
+            self, tmp_path, ann):
+        model = tmp_path / "clash.json"
+        model.write_text(json.dumps({"root": task_dict("t1", *ann)}))
+        errors = set()
+        for seed in (1, 2, 3, 6):
+            proc = run_python(["-m", "wfcheck.cli", "check", "--model",
+                               str(model), "--rules", str(GOLDEN_RULES),
+                               "--mode", "full"], seed, text=True)
+            assert proc.returncode == 2 and proc.stdout == ""
+            errors.add(proc.stderr)
+        assert errors == {"error: task 't1': state holds both a and -a\n"}
+
+    def test_criterion_9_rendering_ignores_the_atom_numbering(self):
+        # the fresh interpreter numbers the atoms in reverse alphabetical
+        # order before it renders anything
+        script = ("import string, sys\n"
+                  "from wfcheck.formula import State\n"
+                  "for a in sorted(string.ascii_lowercase, reverse=True):\n"
+                  "    State.of(a)\n"
+                  "from test_acceptance import _render_everything\n"
+                  "sys.stdout.buffer.write(_render_everything(jobs=1))\n")
+        proc = run_python(["-c", script], hash_seed=7)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == _render_everything(jobs=1)
 
 
 class TestBench:
