@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fastpath import (full_compliant_fast, partial_compliant_fast,
+                       require_single_local_literal)
 from .formula import EMPTY_STATE, State, update
 from .net import DEFAULT_CAP, Trace, walk_runs
 from .obligations import (MONITOR_DEAD, RuleSet, SatCache, eval_obligation,
@@ -142,15 +144,11 @@ def run_check(model: Model, rules: RuleSet, mode: str, engine: str = "brute",
     if mode not in ("full", "partial", "non"):
         raise ValueError(f"unknown mode {mode!r}")
     if engine == "brute":
-        checker = {"full": check_full, "partial": check_partial,
-                   "non": check_non}[mode]
-        return checker(model, rules, jobs, cap, strict_deadline)
+        return _report(mode, model, rules, cap, strict_deadline)
     if engine != "fast":
         raise ValueError(f"unknown engine {engine!r}")
     if strict_deadline:
         raise ValueError("--strict-deadline needs the brute engine")
-    from .fastpath import (full_compliant_fast, partial_compliant_fast,
-                           require_single_local_literal)
     obligation = require_single_local_literal(rules)
     if mode == "full":
         verdict = full_compliant_fast(model, obligation, and_cap=cap)

@@ -573,29 +573,3 @@ def tautology_truth_table(f: Formula, max_atoms: int = 24) -> bool:
         if not eval_under_interpretation(f, interp):
             return False
     return True
-
-
-def to_nnf(f: Formula) -> Formula:
-    """Negation normal form: -> eliminated, negation pushed onto atoms."""
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return f
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(to_nnf(Not(f.left)), to_nnf(f.right))
-    g = f.operand
-    if isinstance(g, Atom):
-        return f
-    if isinstance(g, Not):
-        return to_nnf(g.operand)
-    if isinstance(g, And):
-        return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    if isinstance(g, Or):
-        return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    if isinstance(g, Implies):
-        return And(to_nnf(g.left), to_nnf(Not(g.right)))
-    if isinstance(g, TrueConst):
-        return FALSE
-    return TRUE

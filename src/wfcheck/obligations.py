@@ -12,12 +12,13 @@ not at every later state the trigger literal happens to persist into) is
 what makes per-trigger analysis compose; the restricted evaluation below
 relies on it.
 
-The in-force intervals of one rule that are open at the same time always
-agree on what they still wait for, so they resolve together, and one
-"pool" stands for all of them.  ``pool_step`` moves the pool over one step
-of a run and ``pool_satisfied_at_end`` reads it at the run's end.  A rule's
-``monitor`` is that pool, a "deadline seen" bit for the strict reading, or
-dead once an interval is violated; a global rule's pool is open from the
+A rule's ``monitor`` judges a run online, one step at a time, with a small
+int mark: an "open" bit, a "deadline seen" bit for the strict reading, or
+dead once an interval is violated.  One open bit stands for all the
+intervals open at the same time: no state since the oldest of them opened
+has met (achievement) or broken (maintenance) the requirement or reached
+the deadline, or that state would have decided them, so the next state
+decides them all the same way.  A global rule's interval is open from the
 first step.  Both engines step the one monitor, the brute engine on whole
 states, the fast engine on the state projected onto two literals.  The
 trace-level evaluation here (``in_force_intervals``, ``eval_obligation``)
@@ -72,42 +73,9 @@ class Kind(enum.Enum):
     MAINTENANCE = "maintenance"
 
 
-# The pool of open intervals after a step: none open, some open, or one
-# violated.  POOL_OPEN is 1, so it doubles as a monitor's "pool" bit.
-POOL_CLOSED, POOL_OPEN, POOL_DEAD = 0, 1, 2
-
-
-def pool_step(kind: Kind, pool_open: bool, fires: bool, requirement: bool,
-              deadline: bool) -> int:
-    """The pool after one step of a run.
-
-    ``fires`` says the step opens an interval; ``requirement`` and
-    ``deadline`` are their truth on the state after the step.  The
-    requirement is judged first: an achievement interval is satisfied even
-    at its deadline state, and a maintenance interval is violated there.
-    """
-    if not (pool_open or fires):
-        return POOL_CLOSED
-    if kind is Kind.ACHIEVEMENT:
-        if requirement:
-            return POOL_CLOSED
-        return POOL_DEAD if deadline else POOL_OPEN
-    if not requirement:
-        return POOL_DEAD
-    return POOL_CLOSED if deadline else POOL_OPEN
-
-
-def pool_satisfied_at_end(kind: Kind, pool: int) -> bool:
-    """Whether a run that ends with this pool satisfies the rule.  The last
-    state is every open interval's deadline: an open achievement interval
-    missed its requirement there, an open maintenance one held to it."""
-    return pool == POOL_CLOSED or (
-        pool == POOL_OPEN and kind is Kind.MAINTENANCE)
-
-
-# Monitor marks: the pool bit, the strict reading's "deadline seen" bit,
-# and the dead mark, which a violated interval leaves whatever the bits.
-_POOL, MONITOR_DEAD, _SEEN = POOL_OPEN, 2, 4
+# Monitor marks: some interval is open, the strict reading's "deadline
+# seen", and dead, which a violated interval leaves whatever the bits.
+_OPEN, MONITOR_DEAD, _SEEN = 1, 2, 4
 
 
 def monitor(o: Obligation, trigger_ids: frozenset[str],
@@ -116,11 +84,13 @@ def monitor(o: Obligation, trigger_ids: frozenset[str],
 
     ``trigger_ids`` are the tasks that open an interval; ``holds(f, state)``
     judges the requirement and deadline on the state after a task, in
-    whatever form the caller's states take.
+    whatever form the caller's states take.  The requirement is judged
+    first: an achievement interval is met even at its deadline state, and
+    a maintenance interval is broken there.
     """
-    kind, requirement, deadline = o.kind, o.requirement, o.deadline
-    strict = (strict_deadline and kind is Kind.ACHIEVEMENT
-              and not o.is_global)
+    achieve = o.kind is Kind.ACHIEVEMENT
+    requirement, deadline = o.requirement, o.deadline
+    strict = strict_deadline and achieve and not o.is_global
 
     def step(mark: int, task: Task, state) -> int:
         if mark == MONITOR_DEAD:
@@ -128,24 +98,34 @@ def monitor(o: Obligation, trigger_ids: frozenset[str],
         fires = task.id in trigger_ids
         if fires and mark & _SEEN:  # opened after the first deadline state
             return MONITOR_DEAD
-        if mark & _POOL or fires:  # the state matters only to open ones
-            pool = pool_step(kind, mark & _POOL, fires,
-                             holds(requirement, state),
-                             deadline is not None and holds(deadline, state))
-            if pool == POOL_DEAD:
+        if mark & _OPEN or fires:  # the state matters only to open ones
+            if achieve:
+                if holds(requirement, state):
+                    mark &= _SEEN
+                elif deadline is not None and holds(deadline, state):
+                    return MONITOR_DEAD
+                else:
+                    mark |= _OPEN
+            elif not holds(requirement, state):
                 return MONITOR_DEAD
-            mark = mark & _SEEN | pool
+            elif deadline is not None and holds(deadline, state):
+                mark &= _SEEN
+            else:
+                mark |= _OPEN
         if strict and not mark & _SEEN and holds(deadline, state):
             mark |= _SEEN
         return mark
 
     # a global rule's one interval is open from the first step
-    return (_POOL if o.is_global else 0), step
+    return (_OPEN if o.is_global else 0), step
 
 
 def monitor_complies(mark: int, kind: Kind) -> bool:
-    """Whether a run that ends with this mark satisfies the rule."""
-    return mark != MONITOR_DEAD and pool_satisfied_at_end(kind, mark & _POOL)
+    """Whether a run that ends with this mark satisfies the rule.  The last
+    state is every open interval's deadline: an open achievement interval
+    missed its requirement there, an open maintenance one held to it."""
+    return mark != MONITOR_DEAD and (
+        not mark & _OPEN or kind is Kind.MAINTENANCE)
 
 
 @dataclass(frozen=True)

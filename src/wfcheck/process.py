@@ -137,7 +137,10 @@ def validate(root: ProcessBlock, name: str = "model") -> Model:
         if t.id.startswith(RESERVED_PREFIX):
             raise InvalidTaskId(f"task id {t.id!r} uses the reserved prefix")
         if t.id in seen:
-            raise DuplicateTaskId(t.id)
+            raise DuplicateTaskId(
+                f"task id {t.id!r} is reserved for the boundary tasks"
+                if t.id in (START_ID, END_ID)
+                else f"duplicate task id {t.id!r}")
         seen.add(t.id)
         if not isinstance(t.annotation, State):
             raise InconsistentAnnotation(
@@ -146,36 +149,34 @@ def validate(root: ProcessBlock, name: str = "model") -> Model:
 
 
 def _length_counts(block: ProcessBlock) -> dict[int, int]:
-    """Map run length (task count) to the number of runs of that length."""
+    """Map run length (task count) to the number of runs of that length.
+
+    Each child's table is computed once, so counting a tree makes one
+    call per block.  Seq and AndBlock convolve their children's tables;
+    an and-block also counts the shuffles of each pair of runs."""
     if isinstance(block, TaskBlock):
         return {1: 1}
-    if isinstance(block, Seq):
-        acc = {0: 1}
-        for child in block.children:
-            nxt: dict[int, int] = {}
-            for l1, c1 in acc.items():
-                for l2, c2 in _length_counts(child).items():
-                    nxt[l1 + l2] = nxt.get(l1 + l2, 0) + c1 * c2
-            acc = nxt
-        return acc
+    if not isinstance(block, Composite):
+        raise TypeError(f"not a process block: {block!r}")
+    tables = [_length_counts(child) for child in block.children]
     if isinstance(block, Xor):
-        acc = {}
-        for child in block.children:
-            for l, c in _length_counts(child).items():
+        acc: dict[int, int] = {}
+        for table in tables:
+            for l, c in table.items():
                 acc[l] = acc.get(l, 0) + c
         return acc
-    if isinstance(block, AndBlock):
-        acc = {0: 1}
-        for child in block.children:
-            nxt = {}
-            for l1, c1 in acc.items():
-                for l2, c2 in _length_counts(child).items():
-                    # ways to shuffle two fixed runs preserving their orders
-                    n = l1 + l2
-                    nxt[n] = nxt.get(n, 0) + c1 * c2 * math.comb(n, l1)
-            acc = nxt
-        return acc
-    raise TypeError(f"not a process block: {block!r}")
+    shuffle = isinstance(block, AndBlock)
+    acc = {0: 1}
+    for table in tables:
+        nxt: dict[int, int] = {}
+        for l1, c1 in acc.items():
+            for l2, c2 in table.items():
+                n = l1 + l2
+                # ways to shuffle two fixed runs preserving their orders
+                ways = c1 * c2 * math.comb(n, l1) if shuffle else c1 * c2
+                nxt[n] = nxt.get(n, 0) + ways
+        acc = nxt
+    return acc
 
 
 def count_executions(block: ProcessBlock) -> int:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -20,6 +22,20 @@ def build_example_model():
         task("t4", "-a"),
     )
     return validate(root, name="parallel_choice")
+
+
+def build_level(depth, ids=None):
+    """A wide choice model: level(0) is a task asserting a, and level(d) a
+    seq of 3 x xor(level(d-1), seq(level(d-1), task asserting -a)).  With
+    R(d) = (2 R(d-1))**3 runs, level(4) has 2,073 tasks, 3,886 blocks and
+    2**120 runs."""
+    ids = itertools.count() if ids is None else ids
+    if depth == 0:
+        return task(f"t{next(ids)}", "a")
+    return seq(*[xor(build_level(depth - 1, ids),
+                     seq(build_level(depth - 1, ids),
+                         task(f"t{next(ids)}", "-a")))
+                 for _ in range(3)])
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from wfcheck.formula import (FALSE, MAX_FORMULA_DEPTH, TRUE, And, Atom,
                              TooManyAtoms, atoms, closed_world, eval_formula,
                              eval_under_interpretation, format_formula,
                              formula_to_literal, is_literal, parse_formula,
-                             parse_literal, to_nnf, tautology_truth_table,
+                             parse_literal, tautology_truth_table,
                              update)
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,6 @@ class TestNestingLimit:
         assert atoms(f) == {"a"}
         assert eval_formula(f, State.of("a")) == eval_under_interpretation(
             f, Interpretation.of({"a": True}))
-        assert eval_formula(to_nnf(f), State()) == eval_formula(f, State())
 
     @pytest.mark.parametrize("way", sorted(nested_formulas(2)))
     def test_one_level_more_is_a_syntax_error(self, way):
@@ -349,10 +348,6 @@ class TestEvaluation:
         interp = closed_world(s, atoms(f))
         assert eval_formula(f, s) == eval_under_interpretation(f, interp)
 
-    @given(formulas(), states())
-    def test_nnf_preserves_closed_world_truth(self, f, s):
-        assert eval_formula(f, s) == eval_formula(to_nnf(f), s)
-
 
 class TestTautology:
     @pytest.mark.parametrize("text,expected", [
@@ -375,10 +370,6 @@ class TestTautology:
         narrow = parse_formula("a | b | c")
         with pytest.raises(TooManyAtoms):
             tautology_truth_table(narrow, max_atoms=2)
-
-    @given(formulas())
-    def test_agrees_on_negation_normal_form(self, f):
-        assert tautology_truth_table(f) == tautology_truth_table(to_nnf(f))
 
 
 class TestLiterals:

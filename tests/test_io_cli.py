@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_example_model
+from conftest import build_example_model, build_level
 from strategies import models, rule_sets
 from test_acceptance import _render_everything
 from wfcheck.cli import main
@@ -26,7 +26,7 @@ from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, VariantTag,
                                  classify_variant)
 from wfcheck.process import (DuplicateTaskId, InconsistentAnnotation,
-                             InvalidTaskId)
+                             InvalidTaskId, validate)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -416,6 +416,46 @@ class TestCli:
         row = capsys.readouterr().out.strip().split(" | ")[0]
         assert row.split(",") == ["start"] + [
             f"t{k}" for k in range(5000)] + ["end"]
+
+    @pytest.mark.parametrize("ids, message", [
+        (("x", "x"), "duplicate task id 'x'"),
+        (("start", "x"), "task id 'start' is reserved for the boundary tasks"),
+        (("x", "end"), "task id 'end' is reserved for the boundary tasks"),
+    ])
+    def test_duplicate_and_reserved_ids_exit_two_by_name(self, tmp_path,
+                                                          capsys, ids,
+                                                          message):
+        path = tmp_path / "ids.model.json"
+        path.write_text(json.dumps({"root": {
+            "type": "seq", "children": [task_dict(i) for i in ids]}}))
+        assert main(["check", "--model", str(path), "--rules",
+                     str(GOLDEN_RULES), "--mode", "full"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_wide_choice_model_meets_the_exit_contract_in_time(self,
+                                                               tmp_path):
+        # 2**120 runs: the brute engine must refuse them by the cap without
+        # a slow count, and the fast engine needs no run at all
+        model = tmp_path / "level4.model.json"
+        rules = tmp_path / "level4.rules.json"
+        dump_model(validate(build_level(4), name="level4"), model)
+        rules.write_text(json.dumps({"obligations": [
+            {"kind": "achievement", "requirement": "a", "trigger": "a",
+             "deadline": "!a"}]}))
+
+        def check(*flags):
+            return subprocess.run(
+                [sys.executable, "-m", "wfcheck.cli", "check", "--model",
+                 str(model), "--rules", str(rules), "--mode", "full",
+                 *flags], capture_output=True, text=True, timeout=10,
+                env={**os.environ, "PYTHONPATH": str(SRC)})
+
+        brute = check()
+        assert brute.returncode == 2 and brute.stdout == ""
+        assert "exceed the cap of 1048576" in brute.stderr
+        fast = check("--engine", "fast")
+        assert fast.returncode == 0
+        assert json.loads(fast.stdout)["verdict"] is True
 
     def test_deep_model_exits_two_with_the_named_error(self, tmp_path,
                                                          capsys):

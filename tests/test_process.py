@@ -4,8 +4,9 @@ import itertools
 import pytest
 from hypothesis import assume, example, given
 
-from conftest import build_example_model
+from conftest import build_example_model, build_level
 from strategies import models
+from wfcheck import process
 from wfcheck.formula import State
 from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, Marking,
                          NotEnabled, Trace, compile_to_net, derive_trace,
@@ -13,8 +14,8 @@ from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, Marking,
                          fire, replay)
 from wfcheck.process import (DONE, AndBlock, DuplicateTaskId, EmptyBlock,
                              InconsistentAnnotation, InvalidTaskId, Seq, Task,
-                             TaskBlock, and_, count_executions, frontier, seq,
-                             task, validate, xor)
+                             TaskBlock, and_, count_executions, frontier,
+                             iter_tasks, seq, task, validate, xor)
 
 # The running example: four runs, with the states each one accumulates.
 EXPECTED_RUNS = [
@@ -272,6 +273,10 @@ class TestNetReference:
         assert net_runs(compile_to_net(m)) == runs
 
 
+def count_blocks(block):
+    return 1 + sum(map(count_blocks, getattr(block, "children", ())))
+
+
 class TestCount:
     def test_example_has_four_runs(self, example_model):
         assert count_executions(example_model.root) == 4
@@ -286,6 +291,22 @@ class TestCount:
     def test_nested_parallel(self):
         block = and_(and_(task("a1"), task("b1")), task("c1"))
         assert count_executions(block) == 6
+
+    def test_counting_visits_each_block_once(self, monkeypatch):
+        root = build_level(4)
+        blocks = count_blocks(root)
+        assert (blocks, len(list(iter_tasks(root)))) == (3886, 2073)
+        calls = 0
+        count_tables = process._length_counts
+
+        def counted(block):
+            nonlocal calls
+            calls += 1
+            return count_tables(block)
+
+        monkeypatch.setattr(process, "_length_counts", counted)
+        assert count_executions(root) == 2 ** 120
+        assert calls == blocks
 
     @given(models(max_tasks=6))
     def test_residuals_count_their_completions(self, m):
