@@ -64,7 +64,7 @@ def _cmd_enumerate(args) -> int:
         runs = enumerate_traces(model)
     else:
         runs = itertools.islice(
-            enumerate_traces(model, cap=sys.maxsize), args.limit)
+            enumerate_traces(model, cap=None), args.limit)
     for trace in runs:
         print(_format_row(trace))
     return 0

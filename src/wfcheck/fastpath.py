@@ -30,13 +30,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formula import EMPTY_STATE, eval_formula, formula_to_literal
-from .net import Carry, walk_runs
+from .net import DEFAULT_CAP, Carry, walk_runs
 from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
                           classify_variant, monitor, monitor_complies)
 from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
                       Xor, validate)
-
-DEFAULT_AND_CAP = 4096
 
 
 class NotLiteralVariant(ValueError):
@@ -209,19 +207,19 @@ def _run_outcomes(m: Model, o: Obligation, and_cap: int) -> set[bool]:
 
 
 def instance_satisfiable(m: Model, o: Obligation, x: Task,
-                         and_cap: int = DEFAULT_AND_CAP) -> bool:
+                         and_cap: int = DEFAULT_CAP) -> bool:
     """Can some run containing x satisfy the interval x opens?"""
     return True in _interval_outcomes(m, o, x, *_scan_tasks(m, o), and_cap)
 
 
 def instance_violable(m: Model, o: Obligation, x: Task,
-                      and_cap: int = DEFAULT_AND_CAP) -> bool:
+                      and_cap: int = DEFAULT_CAP) -> bool:
     """Can some run containing x violate the interval x opens?"""
     return False in _interval_outcomes(m, o, x, *_scan_tasks(m, o), and_cap)
 
 
 def label_triggers(m: Model, o: Obligation,
-                   and_cap: int = DEFAULT_AND_CAP) -> list[TriggerAnalysis]:
+                   and_cap: int = DEFAULT_CAP) -> list[TriggerAnalysis]:
     """Per-trigger satisfiability labelling, in declaration order."""
     triggers, masks = _scan_tasks(m, o)
     return [TriggerAnalysis(x, True in _interval_outcomes(
@@ -230,13 +228,13 @@ def label_triggers(m: Model, o: Obligation,
 
 
 def partial_compliant_fast(m: Model, o: Obligation,
-                           and_cap: int = DEFAULT_AND_CAP) -> bool:
+                           and_cap: int = DEFAULT_CAP) -> bool:
     """True iff some run satisfies every interval it opens."""
     return True in _run_outcomes(m, o, and_cap)
 
 
 def full_compliant_fast(m: Model, o: Obligation,
-                        and_cap: int = DEFAULT_AND_CAP) -> bool:
+                        and_cap: int = DEFAULT_CAP) -> bool:
     """True iff every run satisfies every interval it opens."""
     return False not in _run_outcomes(m, o, and_cap)
 
@@ -251,11 +249,7 @@ def _erase_block(block: ProcessBlock,
             return None
         return type(block)(tuple(children))
     kept = tuple(c for c in children if c is not None)
-    if not kept:
-        return None
-    if len(kept) == 1:
-        return kept[0]
-    return Xor(kept)
+    return Xor(kept) if kept else None
 
 
 def erase(m: Model, dead) -> Survives | RootRemoved:
@@ -268,9 +262,8 @@ def erase(m: Model, dead) -> Survives | RootRemoved:
         raise ValueError(f"not tasks of the model: {sorted(unknown)}")
     if not dead_ids:
         return Survives(m)
-    if "start" in dead_ids or "end" in dead_ids:
+    # a dead start or end erases the root; validate collapses one-child xors
+    root = _erase_block(m.root, dead_ids)
+    if root is None:
         return ROOT_REMOVED
-    body = _erase_block(m.body, dead_ids)
-    if body is None:
-        return ROOT_REMOVED
-    return Survives(validate(body, name=m.name))
+    return Survives(validate(root.children[1], name=m.name))

@@ -202,7 +202,7 @@ def fire(net: WFNet, marking: Marking, t: Task) -> Marking:
     return Marking.of(counts)
 
 
-def walk_runs(root: ProcessBlock, cap: int, start: Carry,
+def walk_runs(root: ProcessBlock, cap: int | None, start: Carry,
               fold: Callable[[Carry, Task, ProcessBlock], Carry | None]
               ) -> Iterator[list[tuple[Task, Carry]]]:
     """Depth-first over every run of a block, next task ordered by id,
@@ -212,11 +212,13 @@ def walk_runs(root: ProcessBlock, cap: int, start: Carry,
     ``residual`` is what is left to run; ``None`` prunes every run below
     that edge.  At the end of each run the walk yields its (task, carry)
     steps as one live list, which changes once the walk resumes.  The
-    block's run count is checked against the cap before the walk starts.
+    block's run count is checked against the cap before the walk starts;
+    ``cap=None`` is no bound, and the runs are not counted.
     """
-    total = count_executions(root)
-    if total > cap:
-        raise ExecutionCapExceeded(total, cap)
+    if cap is not None:
+        total = count_executions(root)
+        if total > cap:
+            raise ExecutionCapExceeded(total, cap)
     return _walk(root, start, fold)
 
 
@@ -252,9 +254,9 @@ def _no_carry(carry: tuple, task: Task, residual) -> tuple:
 
 
 def enumerate_traces(model: Model,
-                     cap: int = DEFAULT_CAP) -> Iterator[Trace]:
+                     cap: int | None = DEFAULT_CAP) -> Iterator[Trace]:
     """Yield every run exactly once as a trace, depth-first, next task
-    ordered by id."""
+    ordered by id; ``cap=None`` lists runs without counting them first."""
     return (Trace(tuple(steps))
             for steps in walk_runs(model.root, cap, EMPTY_STATE,
                                    _fold_state))

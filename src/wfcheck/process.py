@@ -189,7 +189,8 @@ def count_executions(block: ProcessBlock) -> int:
 #
 # A residual is itself a block tree: an unstarted block, a Seq whose first
 # child is a residual and whose other children are unstarted, or an
-# AndBlock of the residuals of a started and-block's unfinished branches.
+# AndBlock of the residuals of two or more unfinished branches of a
+# started and-block; with one branch left, the residual is that branch's.
 # DONE, the and-block with no branch left, is a finished residual.  So
 # residuals are purely structural, and count_executions counts their
 # completions.  Every block of a model runs at least one task, so the
@@ -208,13 +209,15 @@ def frontier(residual: ProcessBlock) -> list[Move]:
     return moves
 
 
-def _then(after: ProcessBlock, rest: tuple[ProcessBlock, ...]) -> ProcessBlock:
-    """The residual of a Seq whose first child has become ``after``."""
-    if not rest:
-        return after
-    if after is DONE:
-        return rest[0] if len(rest) == 1 else Seq(rest)
-    return Seq((after,) + rest)
+def _moved(kind: type, before: tuple, after: ProcessBlock,
+           rest: tuple) -> ProcessBlock:
+    """What is left of a ``kind`` (Seq or AndBlock) residual once its child
+    between ``before`` and ``rest`` has become ``after``: a finished child
+    drops out, one child left is that child, and none left is DONE."""
+    left = before + rest if after is DONE else before + (after,) + rest
+    if len(left) > 1:
+        return kind(left)
+    return left[0] if left else DONE
 
 
 def _frontier(r: ProcessBlock) -> list[Move]:
@@ -222,17 +225,13 @@ def _frontier(r: ProcessBlock) -> list[Move]:
         return [(r.task, DONE)]
     if isinstance(r, Seq):
         rest = r.children[1:]
-        return [(t, _then(after, rest))
+        return [(t, _moved(Seq, (), after, rest))
                 for t, after in _frontier(r.children[0])]
     if isinstance(r, Xor):
         return [move for child in r.children for move in _frontier(child)]
     if isinstance(r, AndBlock):
-        moves = []
-        for k, child in enumerate(r.children):
-            before, rest = r.children[:k], r.children[k + 1:]
-            for t, after in _frontier(child):
-                left = before + rest if after is DONE else (
-                    before + (after,) + rest)
-                moves.append((t, AndBlock(left) if left else DONE))
-        return moves
+        children = r.children
+        return [(t, _moved(AndBlock, children[:k], after, children[k + 1:]))
+                for k, child in enumerate(children)
+                for t, after in _frontier(child)]
     raise TypeError(f"not a residual: {r!r}")

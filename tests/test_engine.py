@@ -14,7 +14,7 @@ from wfcheck.engine import (check_full, check_non, check_partial, run_check,
                             trace_complies)
 from wfcheck.fastpath import WrongVariant
 from wfcheck.formula import Literal, State, eval_formula, parse_formula
-from wfcheck.net import ExecutionCapExceeded, derive_trace, \
+from wfcheck.net import DEFAULT_CAP, ExecutionCapExceeded, derive_trace, \
     enumerate_executions, enumerate_traces
 from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, SatCache,
@@ -230,7 +230,7 @@ def fast_monitor_verdict(tr, o):
     m = validate(seq(*map(TaskBlock, tr.tasks()[1:-1])))
     _, masks = fastpath._scan_tasks(m, o)
     (carry,) = fastpath._endings(m, o, trace_trigger_ids(tr, o, eval_formula),
-                                 masks, fastpath.DEFAULT_AND_CAP)
+                                 masks, DEFAULT_CAP)
     return monitor_complies(carry[1], o.kind)
 
 

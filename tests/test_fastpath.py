@@ -165,6 +165,7 @@ class TestErase:
 
     def test_boundary_tasks_take_the_root(self, example_model):
         assert erase(example_model, {"start"}) is ROOT_REMOVED
+        assert erase(example_model, {"end"}) is ROOT_REMOVED
 
     def test_exhausted_choice_propagates(self, example_model):
         assert erase(example_model, {"t1", "t2"}) is ROOT_REMOVED
@@ -289,6 +290,18 @@ class TestWholeModelChecks:
         assert fast_full == check_full(m, rs).verdict
 
 
+def chains_model(length):
+    """A trigger x:{a}, then an and-block of three chains of ``length``
+    tasks, under <b, a, d>: chain 0 ends on the deadline, chain 2 starts
+    with the requirement."""
+    marks = {(0, length - 1): ("d",), (2, 0): ("b",)}
+    lanes = [seq(*(task(f"c{i}_{j}", *marks.get((i, j), ()))
+                   for j in range(length)))
+             for i in range(3)]
+    m = validate(seq(task("x", "a"), and_(*lanes)), name="chains")
+    return m, lit_rule("achievement", "b", "a", "d")
+
+
 class TestScaling:
     def test_choice_heavy_model_stays_fast(self):
         blocks = [xor(task(f"p{k}", "b"), task(f"n{k}", "-b"))
@@ -307,18 +320,22 @@ class TestScaling:
         o = lit_rule("maintenance", "!b", "!a", "!d")
         assert count_executions(m.body) == 5040
         with pytest.raises(ExecutionCapExceeded):
-            partial_compliant_fast(m, o)
+            partial_compliant_fast(m, o, and_cap=4096)
         assert partial_compliant_fast(m, o, and_cap=6000)
         assert full_compliant_fast(m, o, and_cap=6000)
 
+    def test_fast_queries_default_to_the_check_cap(self):
+        # 34,650 runs: within the cap that run_check and the CLI pass
+        m, o = chains_model(4)
+        assert count_executions(m.body) == 34_650
+        rs = RuleSet((o,))
+        assert partial_compliant_fast(m, o) == run_check(
+            m, rs, "partial", engine="fast").verdict
+        assert full_compliant_fast(m, o) == run_check(
+            m, rs, "full", engine="fast").verdict
+
     def test_parallel_chains_explore_states_not_interleavings(self):
-        # lane 0 ends on the deadline, lane 2 starts with the requirement
-        marks = {(0, 4): ("d",), (2, 0): ("b",)}
-        lanes = [seq(*(task(f"c{i}_{j}", *marks.get((i, j), ()))
-                       for j in range(5)))
-                 for i in range(3)]
-        m = validate(seq(task("x", "a"), and_(*lanes)), name="chains")
-        o = lit_rule("achievement", "b", "a", "d")
+        m, o = chains_model(5)
         assert count_executions(m.body) == 756_756
         started = time.perf_counter()
         assert partial_compliant_fast(m, o, and_cap=10 ** 6)

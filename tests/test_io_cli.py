@@ -1,5 +1,6 @@
 """File formats, the instance generator, the CLI and the bench harness."""
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -435,7 +436,8 @@ class TestCli:
     def test_wide_choice_model_meets_the_exit_contract_in_time(self,
                                                                tmp_path):
         # 2**120 runs: the brute engine must refuse them by the cap without
-        # a slow count, and the fast engine needs no run at all
+        # a slow count, the fast engine needs no run at all, and a listing
+        # with a limit counts nothing
         model = tmp_path / "level4.model.json"
         rules = tmp_path / "level4.rules.json"
         dump_model(validate(build_level(4), name="level4"), model)
@@ -443,12 +445,15 @@ class TestCli:
             {"kind": "achievement", "requirement": "a", "trigger": "a",
              "deadline": "!a"}]}))
 
-        def check(*flags):
+        def cli(*args):
             return subprocess.run(
-                [sys.executable, "-m", "wfcheck.cli", "check", "--model",
-                 str(model), "--rules", str(rules), "--mode", "full",
-                 *flags], capture_output=True, text=True, timeout=10,
+                [sys.executable, "-m", "wfcheck.cli", *args, "--model",
+                 str(model)], capture_output=True, text=True, timeout=10,
                 env={**os.environ, "PYTHONPATH": str(SRC)})
+
+        def check(*flags):
+            return cli("check", "--rules", str(rules), "--mode", "full",
+                       *flags)
 
         brute = check()
         assert brute.returncode == 2 and brute.stdout == ""
@@ -456,6 +461,9 @@ class TestCli:
         fast = check("--engine", "fast")
         assert fast.returncode == 0
         assert json.loads(fast.stdout)["verdict"] is True
+        listing = cli("enumerate", "--limit", "2")
+        assert listing.returncode == 0 and listing.stderr == ""
+        assert len(listing.stdout.splitlines()) == 2
 
     def test_deep_model_exits_two_with_the_named_error(self, tmp_path,
                                                          capsys):
@@ -530,6 +538,19 @@ def run_python(args, hash_seed: int, **kwargs):
            "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))}
     return subprocess.run([sys.executable, *args], capture_output=True,
                           env=env, **kwargs)
+
+
+class TestReportCorpus:
+    def test_report_bytes_match_the_recorded_digest(self):
+        # a change that alters report bytes on purpose updates the digest
+        # and says why
+        script = TESTS.parent / "scripts" / "report_corpus.py"
+        proc = subprocess.run([sys.executable, str(script)],
+                              capture_output=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        recorded = (TESTS / "report_corpus.sha256").read_text().strip()
+        assert hashlib.sha256(proc.stdout).hexdigest() == recorded
 
 
 class TestAtomNumbering:

@@ -309,10 +309,22 @@ class TestCount:
         assert calls == blocks
 
     @given(models(max_tasks=6))
+    @example(validate(seq(task("x"),
+                          and_(task("a"), seq(task("b"), task("c"))))))
     def test_residuals_count_their_completions(self, m):
         assume(count_executions(m.root) <= 500)
 
+        def composites(block):
+            if not isinstance(block, TaskBlock):
+                yield block
+                for child in block.children:
+                    yield from composites(child)
+
         def completions(residual):
+            # a finished child drops out and one child left stands alone,
+            # so no residual holds a composite of fewer than two children
+            assert all(len(block.children) >= 2
+                       for block in composites(residual) if block is not DONE)
             moves = frontier(residual)
             if not moves:
                 assert residual is DONE
