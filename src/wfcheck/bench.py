@@ -1,9 +1,13 @@
 """Timing suites comparing the engines on families of growing instances.
 
-Two suites cover the two scaling stories: "reduction" runs the brute
-engine over interpretation models whose trace count doubles per atom,
-and "fastpath" pits the brute scan against the reach-set engine on
-XOR-chain instances where only the latter stays polynomial.
+Three suites cover the scaling stories: "reduction" runs the brute
+engine over interpretation models whose trace count doubles per atom;
+"fastpath" pits the brute scan against the reach-set engine on XOR-chain
+instances where only the latter stays polynomial; and "parallel" runs
+full checks of both on an and-block of n chains of n tasks, whose
+(n·n)!/(n!)^n runs the brute engine lists (while they are within
+``DEFAULT_CAP``) and the fast engine's partial-order reduction mostly
+skips.
 """
 from __future__ import annotations
 
@@ -14,15 +18,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import DEFAULT_CAP, check_full, check_partial
-from .fastpath import partial_compliant_fast
+from .fastpath import full_compliant_fast, partial_compliant_fast
 from .formula import And, Atom, Formula, Not, Or, State
 from .obligations import Kind, Obligation, RuleSet
-from .process import Seq, Task, TaskBlock, Xor, validate
+from .process import (AndBlock, Seq, Task, TaskBlock, Xor, count_executions,
+                      validate)
 from .reduction import build_interpretation_model
 
 CSV_HEADER = ("instance", "engine", "n", "wall_ms", "traces", "verdict")
 
-SUITES = ("reduction", "fastpath")
+SUITES = ("reduction", "fastpath", "parallel")
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,40 @@ def _fastpath_records(n_min: int, n_max: int) -> list[BenchRecord]:
     return records
 
 
+def _and_chains(n: int):
+    """A trigger, then an and-block of n chains of n tasks, under the
+    achievement rule <b, a, d>.  Task j of chain c sets or clears the
+    requirement b or the deadline d, by (c + j) mod 4, when (c + j) mod 3
+    is 0; every other task carries one noise literal of its chain."""
+    roles = ("b", "-b", "d", "-d")
+    lanes = [Seq(tuple(TaskBlock(Task(f"c{c}_{j}", State.of(
+                 roles[(c + j) % 4] if (c + j) % 3 == 0
+                 else f"e{c}" if j % 2 == 0 else f"-e{c}")))
+                 for j in range(n)))
+             for c in range(n)]
+    body = Seq((TaskBlock(Task("x", State.of("a"))), AndBlock(tuple(lanes))))
+    model = validate(body, name=f"and-chains-{n}")
+    rule = Obligation(Kind.ACHIEVEMENT, Atom("b"),
+                      trigger=Atom("a"), deadline=Atom("d"))
+    return model, rule
+
+
+def _parallel_records(n_min: int, n_max: int) -> list[BenchRecord]:
+    records = []
+    for n in range(n_min, n_max + 1):
+        model, rule = _and_chains(n)
+        if count_executions(model.root) <= DEFAULT_CAP:
+            report, brute_ms = _timed(
+                lambda: check_full(model, RuleSet((rule,))))
+            records.append(BenchRecord(f"parallel-n{n}", "brute", n,
+                                       brute_ms, report.traces_examined,
+                                       report.verdict))
+        verdict, fast_ms = _timed(lambda: full_compliant_fast(model, rule))
+        records.append(BenchRecord(f"parallel-n{n}", "fast", n, fast_ms,
+                                   0, verdict))
+    return records
+
+
 def run_bench(suite: str, n_min: int, n_max: int,
               out: str | Path | None = None) -> list[BenchRecord]:
     """Run one suite over [n_min, n_max] and optionally write a CSV."""
@@ -112,6 +151,8 @@ def run_bench(suite: str, n_min: int, n_max: int,
         records = _reduction_records(n_min, n_max)
     elif suite == "fastpath":
         records = _fastpath_records(n_min, n_max)
+    elif suite == "parallel":
+        records = _parallel_records(n_min, n_max)
     else:
         raise ValueError(f"unknown suite {suite!r}")
     if out is not None:

@@ -105,7 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("brute", "fast"))
     check.add_argument("--jobs", type=positive_int, default=1,
                        help="accepted and ignored: checks run in one thread")
-    check.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
+    check.add_argument(
+        "--cap", type=positive_int, default=DEFAULT_CAP,
+        help="brute: most runs the model may have; fast: most (residual, "
+             "carry) pairs one and-block search may explore "
+             "(default: %(default)s)")
     check.add_argument("--strict-deadline", action="store_true")
     check.set_defaults(handler=_cmd_check)
 

@@ -6,10 +6,15 @@ literals: two truth bits.  The engine steps the rule's monitor
 (``obligations.monitor``, which the brute engine steps on whole states) on
 those bits, and the carries it can reach compose structurally: fold
 through sequence children, union over choice branches.  Parallel blocks
-have no cheap composition, so they are explored task by task on the run
-walk (``net.walk_runs``), which goes on from each (residual, carry) pair
-once, and refused when they admit more runs than a cap; choice-heavy
-models — where brute force blows up — stay polynomial.
+have no cheap composition, so they are searched over (residual, carry)
+pairs, each expanded once, with the shared step ``process.frontier``.
+A partial-order reduction (stubborn sets: Valmari 1991; Godefroid,
+*Partial-Order Methods*, 1996) fires first any quiet task that some branch
+cannot avoid next: one that is no trigger and leaves both bits alone, so
+its order among the other branches' moves changes no end carry.  The
+search is refused when it explores more pairs than a cap, so its budget
+follows its cost, not the block's run count; choice-heavy models — where
+brute force blows up — stay polynomial.
 
 Every query steps that monitor for a set of trigger tasks.  With every
 trigger task in the set, the carries that runs end in decide partial and
@@ -30,11 +35,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formula import EMPTY_STATE, eval_formula, formula_to_literal
-from .net import DEFAULT_CAP, Carry, walk_runs
+from .net import DEFAULT_CAP, Carry, ExecutionCapExceeded
 from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
                           classify_variant, monitor, monitor_complies)
-from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
-                      Xor, validate)
+from .process import (DONE, AndBlock, Model, ProcessBlock, Seq, Task,
+                      TaskBlock, Xor, frontier, moved, validate)
 
 
 class NotLiteralVariant(ValueError):
@@ -93,37 +98,106 @@ def trigger_transitions(m: Model, o: Obligation) -> list[Task]:
 
 _REQUIREMENT, _DEADLINE = 1, 2
 _DEAD, _DECIDED = (0, MONITOR_DEAD, True), (0, 0, True)
+_QUIET = (3, 0)  # the masks of a task that leaves both bits alone
 
 
 def _reach(block: ProcessBlock, states: frozenset[Carry],
-           step: Callable[[Carry, Task], Carry], cap: int) -> frozenset:
+           step: Callable[[Carry, Task], Carry],
+           quiet: Callable[[Task], bool], cap: int) -> frozenset:
     """Carries reachable after some run of the block."""
     if isinstance(block, TaskBlock):
         return frozenset(step(s, block.task) for s in states)
     if isinstance(block, Seq):
         for child in block.children:
-            states = _reach(child, states, step, cap)
+            states = _reach(child, states, step, quiet, cap)
         return states
     if isinstance(block, Xor):
         out: set[Carry] = set()
         for child in block.children:
-            out |= _reach(child, states, step, cap)
+            out |= _reach(child, states, step, quiet, cap)
         return frozenset(out)
     if isinstance(block, AndBlock):
-        # interleavings that reach the same (residual, carry) pair share
-        # everything after it, so the walk goes on from each pair once
-        seen = set()
-
-        def fold(s: Carry, task: Task, after: ProcessBlock) -> Carry | None:
-            s = step(s, task)
-            if (after, s) in seen:
-                return None
-            seen.add((after, s))
-            return s
-
-        return frozenset(run[-1][1] for s in states
-                         for run in walk_runs(block, cap, s, fold))
+        return _and_reach(block, states, step, quiet, cap)
     raise TypeError(f"not a process block: {block!r}")
+
+
+def _quiet_after(r: ProcessBlock, quiet: Callable[[Task], bool]
+                 ) -> ProcessBlock | None:
+    """The residual after a quiet task that is the only next move of some
+    and-branch of r, or None.  Such a task fires in every completion of r,
+    no other move disables it or changes what it does, and it leaves the
+    carry as it is, so firing it first keeps every reachable end carry."""
+    if isinstance(r, TaskBlock):
+        return DONE if quiet(r.task) else None
+    if isinstance(r, Seq):
+        after = _quiet_after(r.children[0], quiet)
+        return None if after is None else moved(Seq, (), after,
+                                                r.children[1:])
+    if isinstance(r, AndBlock):
+        for k, child in enumerate(r.children):
+            after = _quiet_after(child, quiet)
+            if after is not None:
+                return moved(AndBlock, r.children[:k], after,
+                             r.children[k + 1:])
+    return None  # none found, or an Xor: its tasks are alternatives
+
+
+def _and_reach(block: AndBlock, states: frozenset[Carry],
+               step: Callable[[Carry, Task], Carry],
+               quiet: Callable[[Task], bool], cap: int) -> frozenset:
+    """Carries reachable after some run of an and-block, by a search over
+    (residual, carry) pairs from every incoming carry at once.
+
+    Interleavings that reach the same pair share everything after it, so
+    each pair is expanded once.  Quiet tasks that some branch cannot avoid
+    next are fired ahead of everything else (``_quiet_after``): that
+    partial-order reduction keeps the reachable end carries, which is all
+    the queries read.  Each distinct residual is interned to one object,
+    its children first, so pairs hash and compare by identity, never by
+    walking residual trees.  More than ``cap`` pairs is refused."""
+    table: dict[tuple, ProcessBlock] = {}  # (type, child ids) -> residual
+    interned: set[int] = set()  # ids of the residuals table holds
+    moves: dict[int, list] = {}  # residual id -> [(task, residual after)]
+
+    def intern(r: ProcessBlock) -> ProcessBlock:
+        if isinstance(r, (TaskBlock, Xor)) or id(r) in interned:
+            return r  # never rebuilt by a move: the model's own object
+        key = (type(r), *[id(intern(c)) for c in r.children])
+        got = table.get(key)
+        if got is None:  # the first of its shape stands for all of them
+            got = table[key] = r
+            interned.add(id(r))
+        return got
+
+    def settle(r: ProcessBlock) -> ProcessBlock:
+        """r once every quiet task it cannot avoid next has fired."""
+        while (after := _quiet_after(r, quiet)) is not None:
+            r = after
+        return intern(r)
+
+    root = settle(block)
+    if root is DONE:
+        return states
+    seen = {(id(root), s) for s in states}
+    todo = [(root, s) for s in states]
+    ends: set[Carry] = set()
+    while todo:
+        r, s = todo.pop()
+        out = moves.get(id(r))
+        if out is None:
+            out = moves[id(r)] = [(t, settle(after))
+                                  for t, after in frontier(r)]
+        for t, after in out:
+            carry = step(s, t)
+            if after is DONE:
+                ends.add(carry)
+            elif (id(after), carry) not in seen:
+                seen.add((id(after), carry))
+                if len(seen) > cap:
+                    raise ExecutionCapExceeded(
+                        len(seen), cap, "explored (residual, carry) pairs")
+                todo.append((after, carry))
+    return frozenset(ends)
 
 
 def _scan_tasks(m: Model, o: Obligation
@@ -177,11 +251,17 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
             return _DECIDED
         return bits, mark, fired
 
+    def quiet(task: Task) -> bool:
+        """Whether stepping ``task`` leaves every reachable carry as it is:
+        it is no trigger, and the monitor re-judges the same two bits."""
+        return masks[task.id] == _QUIET and task.id not in trigger_ids
+
     # runs start empty, where exactly the negative literals hold
     start = sum(bit for f, bit in ((o.requirement, _REQUIREMENT),
                                    (o.deadline, _DEADLINE))
                 if eval_formula(f, EMPTY_STATE))
-    return _reach(m.root, frozenset(((start, mark, False),)), step, and_cap)
+    return _reach(m.root, frozenset(((start, mark, False),)), step, quiet,
+                  and_cap)
 
 
 def _interval_outcomes(m: Model, o: Obligation, x: Task,

@@ -6,8 +6,8 @@ equal model.  Rule files hold formula strings in the parser's syntax, a
 null trigger/deadline pair meaning the rule is in force globally.  Field
 types are checked on load, so a malformed file raises FileFormatError
 rather than an error from deep inside the constructors.  Block trees may
-nest at most MAX_DEPTH blocks deep, so that loading, validation and both
-engines stay within Python's default recursion limit.
+nest at most ``process.MAX_DEPTH`` blocks deep; the reader stops at that
+depth with ``process.ModelTooDeep``, as ``validate`` does.
 """
 from __future__ import annotations
 
@@ -18,19 +18,13 @@ from .engine import ComplianceReport, Witness
 from .formula import (InconsistentInput, State, format_formula,
                       parse_formula)
 from .obligations import Kind, Obligation, RuleSet
-from .process import (AndBlock, InconsistentAnnotation, Model, ProcessBlock,
-                      Seq, Task, TaskBlock, Xor, validate)
-
-
-MAX_DEPTH = 400
+from .process import (MAX_DEPTH, AndBlock, InconsistentAnnotation, Model,
+                      ModelTooDeep, ProcessBlock, Seq, Task, TaskBlock, Xor,
+                      validate)
 
 
 class FileFormatError(ValueError):
     """The JSON is well-formed but does not describe a valid object."""
-
-
-class ModelTooDeep(FileFormatError):
-    """Blocks nest more than MAX_DEPTH deep, or JSON too deep to decode."""
 
 
 def _string(value, what: str) -> str:

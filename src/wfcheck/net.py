@@ -13,16 +13,16 @@ engine explores and-blocks with.  It branches on the tasks that can fire
 next, ordered by id, so it yields every distinct run exactly once, in
 lexicographic order of task ids.
 
-``walk_runs`` is that search, and the only one: it folds a caller's carry
-along each edge and pushes it with the step, so a prefix that many runs
-share is folded once, not once per run, and a caller can prune a subtree
-whose runs it no longer needs.  ``enumerate_traces`` carries the state
-after each task and yields each run as a trace; ``enumerate_executions``
-carries nothing; the brute engine carries the state plus its rule
-monitors; the fast engine walks an and-block carrying one rule's monitor
-on two truth bits, and prunes (remaining block, carry) pairs it has seen.
-``derive_trace`` folds one run from the empty state and is the reference
-the carried states must equal.
+``walk_runs`` is that search, and the only run listing: it folds a
+caller's carry along each edge and pushes it with the step, so a prefix
+that many runs share is folded once, not once per run, and a caller can
+prune a subtree whose runs it no longer needs.  ``enumerate_traces``
+carries the state after each task and yields each run as a trace;
+``enumerate_executions`` carries nothing; the brute engine carries the
+state plus its rule monitors.  The fast engine needs no runs, only the
+carries they end in, so it searches and-blocks over the same frontier
+itself (``fastpath``).  ``derive_trace`` folds one run from the empty
+state and is the reference the carried states must equal.
 """
 from __future__ import annotations
 
@@ -47,10 +47,11 @@ class NotEnabled(ValueError):
 
 
 class ExecutionCapExceeded(RuntimeError):
-    """The model admits more runs than the caller's cap allows."""
+    """The model admits more runs than the caller's cap allows, or (the
+    fast engine's and-block search) more explored pairs."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} executions exceed the cap of {cap}")
+    def __init__(self, count: int, cap: int, what: str = "executions"):
+        super().__init__(f"{count} {what} exceed the cap of {cap}")
         self.count = count
         self.cap = cap
 

@@ -3,7 +3,9 @@
 A model is a tree of task leaves under seq / xor / and composites.  Every
 task occurs at most once per run, composites have at least two children
 after normalisation, and validation wraps the tree between the unannotated
-boundary tasks ``start`` and ``end``.
+boundary tasks ``start`` and ``end``.  Blocks may nest at most MAX_DEPTH
+deep, so that loading, validation and both engines stay within Python's
+default recursion limit.
 """
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ END_ID = "end"
 
 RESERVED_PREFIX = "__"
 
+MAX_DEPTH = 400
+
 
 class DuplicateTaskId(ValueError):
     """The same task id occurs in two leaves (or shadows start/end)."""
@@ -36,6 +40,10 @@ class InconsistentAnnotation(ValueError):
 
 class InvalidTaskId(ValueError):
     """A task id is not an identifier, or uses the reserved __ prefix."""
+
+
+class ModelTooDeep(ValueError):
+    """Blocks nest more than MAX_DEPTH deep, or JSON too deep to decode."""
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,21 @@ def _normalise(block: ProcessBlock) -> ProcessBlock:
     return type(block)(children)
 
 
+def _check_depth(root: ProcessBlock) -> None:
+    """Refuse a tree nested past MAX_DEPTH, one level at a time, so that
+    measuring it needs no recursion."""
+    level, depth = [root], 1
+    while level:
+        if depth > MAX_DEPTH:
+            raise ModelTooDeep(f"block tree nests more than {MAX_DEPTH} deep")
+        level = [child for block in level
+                 for child in getattr(block, "children", ())]
+        depth += 1
+
+
 def validate(root: ProcessBlock, name: str = "model") -> Model:
     """Check a block tree and wrap it between start and end."""
+    _check_depth(root)
     body = _normalise(root)
     wrapped = Seq((TaskBlock(Task(START_ID)), body, TaskBlock(Task(END_ID))))
     seen: set[str] = set()
@@ -209,8 +230,8 @@ def frontier(residual: ProcessBlock) -> list[Move]:
     return moves
 
 
-def _moved(kind: type, before: tuple, after: ProcessBlock,
-           rest: tuple) -> ProcessBlock:
+def moved(kind: type, before: tuple, after: ProcessBlock,
+          rest: tuple) -> ProcessBlock:
     """What is left of a ``kind`` (Seq or AndBlock) residual once its child
     between ``before`` and ``rest`` has become ``after``: a finished child
     drops out, one child left is that child, and none left is DONE."""
@@ -225,13 +246,13 @@ def _frontier(r: ProcessBlock) -> list[Move]:
         return [(r.task, DONE)]
     if isinstance(r, Seq):
         rest = r.children[1:]
-        return [(t, _moved(Seq, (), after, rest))
+        return [(t, moved(Seq, (), after, rest))
                 for t, after in _frontier(r.children[0])]
     if isinstance(r, Xor):
         return [move for child in r.children for move in _frontier(child)]
     if isinstance(r, AndBlock):
         children = r.children
-        return [(t, _moved(AndBlock, children[:k], after, children[k + 1:]))
+        return [(t, moved(AndBlock, children[:k], after, children[k + 1:]))
                 for k, child in enumerate(children)
                 for t, after in _frontier(child)]
     raise TypeError(f"not a residual: {r!r}")

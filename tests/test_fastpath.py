@@ -1,4 +1,6 @@
 """Structural fast-path analysis against the brute-force oracle."""
+import itertools
+import random
 import time
 
 import pytest
@@ -6,7 +8,9 @@ from conftest import build_example_model
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strategies import literals, models
+from test_engine import reference_report
 
+from wfcheck.bench import _and_chains
 from wfcheck.engine import check_full, check_partial, run_check
 from wfcheck.fastpath import (ROOT_REMOVED, NotLiteralVariant, RootRemoved,
                               Survives, TriggerAnalysis, WrongVariant, erase,
@@ -120,6 +124,7 @@ class TestInstanceAnalysis:
     @staticmethod
     def assert_agrees_with_trace_enumeration(m, o):
         traces = [derive_trace(m, e) for e in enumerate_executions(m)]
+        labels = []
         for x in trigger_transitions(m, o):
             containing = [tr for tr in traces if x.id in tr.task_ids()]
             sat = any(eval_restricted(tr, o, {x.id}) for tr in containing)
@@ -127,6 +132,9 @@ class TestInstanceAnalysis:
                       for tr in containing)
             assert instance_satisfiable(m, o, x) == sat
             assert instance_violable(m, o, x) == vio
+            labels.append((x.id, sat))
+        assert [(l.task.id, l.satisfiable)
+                for l in label_triggers(m, o)] == labels
 
     @settings(max_examples=30)
     @given(models(max_tasks=5), single_local_literal_rules())
@@ -314,15 +322,31 @@ class TestScaling:
         assert not full_compliant_fast(m, o)
         assert time.perf_counter() - started < 1.0
 
-    def test_parallel_blow_up_is_capped(self):
-        m = validate(and_(*(task(f"t{k}") for k in range(1, 8))),
+    def test_and_blocks_are_refused_by_explored_pairs(self):
+        # every task toggles the requirement, so none is quiet and the
+        # search meets each subset of finished branches with each carry
+        m = validate(seq(task("x", "a"),
+                         and_(*(task(f"t{k}", "b" if k % 2 else "-b")
+                                for k in range(1, 8)))), name="toggles")
+        o = lit_rule("achievement", "b", "a", "d")
+        with pytest.raises(ExecutionCapExceeded,
+                           match=r"^101 explored \(residual, carry\) pairs "
+                                 r"exceed the cap of 100$") as err:
+            partial_compliant_fast(m, o, and_cap=100)
+        assert (err.value.count, err.value.cap) == (101, 100)
+        rs = RuleSet((o,))
+        assert partial_compliant_fast(m, o) == check_partial(m, rs).verdict
+        assert full_compliant_fast(m, o) == check_full(m, rs).verdict
+
+    def test_quiet_tasks_need_no_budget(self):
+        # 5040 runs of tasks that leave the rule's bits alone: the
+        # reduction fires them one after another, so one pair is enough
+        m = validate(and_(*(task(f"t{k}", "c") for k in range(1, 8))),
                      name="fanout")
-        o = lit_rule("maintenance", "!b", "!a", "!d")
+        o = lit_rule("achievement", "b", "a", "d")
         assert count_executions(m.body) == 5040
-        with pytest.raises(ExecutionCapExceeded):
-            partial_compliant_fast(m, o, and_cap=4096)
-        assert partial_compliant_fast(m, o, and_cap=6000)
-        assert full_compliant_fast(m, o, and_cap=6000)
+        assert partial_compliant_fast(m, o, and_cap=1)
+        assert full_compliant_fast(m, o, and_cap=1)
 
     def test_fast_queries_default_to_the_check_cap(self):
         # 34,650 runs: within the cap that run_check and the CLI pass
@@ -334,6 +358,15 @@ class TestScaling:
         assert full_compliant_fast(m, o) == run_check(
             m, rs, "full", engine="fast").verdict
 
+    def test_noisy_chains_are_answered_within_the_default_budget(self):
+        # 6.2e14 runs, most of whose tasks carry one noise literal
+        m, o = _and_chains(5)
+        assert count_executions(m.body) == 623_360_743_125_120
+        started = time.perf_counter()
+        assert partial_compliant_fast(m, o)
+        assert not full_compliant_fast(m, o)
+        assert time.perf_counter() - started < 2.0
+
     def test_parallel_chains_explore_states_not_interleavings(self):
         m, o = chains_model(5)
         assert count_executions(m.body) == 756_756
@@ -341,3 +374,50 @@ class TestScaling:
         assert partial_compliant_fast(m, o, and_cap=10 ** 6)
         assert not full_compliant_fast(m, o, and_cap=10 ** 6)
         assert time.perf_counter() - started < 2.0
+
+
+def and_heavy_instance(rng):
+    """An and-block of two or three branches, each a task, an xor or and
+    of two tasks, or a seq of two such parts, sometimes after a task; and
+    one literal rule over a, b and d.  Tasks carry a rule literal, a noise
+    literal or nothing, so branches hold quiet tasks, visible ones and
+    triggers."""
+    ids = itertools.count()
+    annotations = ("a", "-a", "b", "-b", "d", "-d", "c", "-c", "e", None)
+
+    def leaf():
+        ann = rng.choice(annotations)
+        return task(f"t{next(ids)}", *([ann] if ann else []))
+
+    def part():
+        kind = rng.choice((leaf, leaf, xor, and_))
+        return leaf() if kind is leaf else kind(leaf(), leaf())
+
+    def branch():
+        return part() if rng.random() < 0.5 else seq(part(), part())
+
+    body = and_(*(branch() for _ in range(rng.randint(2, 3))))
+    if rng.random() < 0.5:
+        body = seq(leaf(), body)
+    fields = [rng.choice(("", "!")) + atom for atom in rng.sample("abd", 3)]
+    kind = rng.choice(("achievement", "maintenance"))
+    return validate(body, name="and-heavy"), lit_rule(kind, *fields)
+
+
+class TestPartialOrderReduction:
+    """The reduction keeps the end carries every query reads: compare it
+    with the run-by-run reference on models where it fires often."""
+
+    @pytest.mark.parametrize("first_seed", range(0, 300, 75))
+    def test_and_heavy_models_agree_with_the_reference(self, first_seed):
+        for seed in range(first_seed, first_seed + 75):
+            rng = random.Random(seed)
+            m, o = and_heavy_instance(rng)
+            while count_executions(m.root) > 400:
+                m, o = and_heavy_instance(rng)
+            rs = RuleSet((o,))
+            assert partial_compliant_fast(m, o) \
+                == reference_report(m, rs, "partial", False)[0]
+            assert full_compliant_fast(m, o) \
+                == reference_report(m, rs, "full", False)[0]
+            TestInstanceAnalysis.assert_agrees_with_trace_enumeration(m, o)

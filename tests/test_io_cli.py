@@ -27,7 +27,7 @@ from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, VariantTag,
                                  classify_variant)
 from wfcheck.process import (DuplicateTaskId, InconsistentAnnotation,
-                             InvalidTaskId, validate)
+                             InvalidTaskId, seq, task, validate)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,6 +55,20 @@ def nested_seq(depth):
     for k in range(depth - 1):
         root = {"type": "seq", "children": [task_dict(f"t{k}", "b"), root]}
     return {"name": "deep", "root": root}
+
+
+def nested_and(depth):
+    """seq(x:{a}, and(chain, seq(y:{d}, w:{-d}))) nesting ``depth`` deep.
+    The chain's seqs nest at their heads and its tasks toggle b, so each
+    of its moves rebuilds the chain's residual all the way down."""
+    chain = task_dict("zleaf", "b")
+    for k in range(depth - 3):
+        chain = {"type": "seq", "children": [
+            chain, task_dict(f"z{k}", "-b" if k % 2 else "b")]}
+    tail = {"type": "seq", "children": [task_dict("y", "d"),
+                                        task_dict("w", "-d")]}
+    return {"name": "deep-and", "root": {"type": "seq", "children": [
+        task_dict("x", "a"), {"type": "and", "children": [chain, tail]}]}}
 
 
 class TestModelFiles:
@@ -112,28 +126,44 @@ class TestModelFiles:
         with pytest.raises(DuplicateTaskId):
             model_from_dict({"root": doubled})
 
+    @pytest.mark.parametrize("shape", [nested_seq, nested_and],
+                             ids=["seq", "and"])
     def test_model_at_the_depth_limit_loads_and_checks(self, tmp_path,
-                                                        capsys):
+                                                        capsys, shape):
         path = tmp_path / "deep.model.json"
-        path.write_text(json.dumps(nested_seq(MAX_DEPTH)))
+        path.write_text(json.dumps(shape(MAX_DEPTH)))
         m = load_model(path)
         rules = RuleSet((Obligation(Kind.ACHIEVEMENT, parse_formula("b"),
                                     parse_formula("a"),
                                     parse_formula("d")),))
-        # b holds from t0 on, so the one interval, opened by leaf, is met
-        assert run_check(m, rules, "full").verdict
-        assert run_check(m, rules, "full", engine="fast").verdict
+        # nested_seq: b holds from t0 on, so the one interval, opened by
+        # leaf, is met.  nested_and: y can reach d before the chain sets b.
+        full = shape is nested_seq
+        assert run_check(m, rules, "full").verdict is full
+        assert run_check(m, rules, "full", engine="fast").verdict is full
+        assert run_check(m, rules, "partial", engine="fast").verdict
         dump_model(m, path)
         assert load_model(path).tasks() == m.tasks()
-        assert main(["enumerate", "--model", str(path)]) == 0
+        limit = [] if full else ["--limit", "1"]
+        assert main(["enumerate", "--model", str(path), *limit]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 1
-        assert rows[0].startswith(f"start,t{MAX_DEPTH - 2},")
+        assert rows[0].startswith(f"start,t{MAX_DEPTH - 2}," if full
+                                  else "start,x,y,w,zleaf,")
 
-    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 700])
-    def test_deeper_models_are_refused_by_name(self, depth):
+    @pytest.mark.parametrize("reader,depth", [
+        ("loader", MAX_DEPTH + 1), ("loader", 700),
+        ("validate", MAX_DEPTH + 1), ("validate", 2000)],
+        ids=["401", "700", "validate-401", "validate-2000"])
+    def test_deeper_models_are_refused_by_name(self, reader, depth):
         with pytest.raises(ModelTooDeep, match=f"more than {MAX_DEPTH}"):
-            model_from_dict(nested_seq(depth))
+            if reader == "loader":
+                model_from_dict(nested_seq(depth))
+            else:  # a tree built in Python, which no reader has measured
+                root = task("leaf", "a")
+                for k in range(depth - 1):
+                    root = seq(task(f"t{k}", "b"), root)
+                validate(root)
 
     def test_json_too_deep_to_decode_is_refused_by_name(self, tmp_path):
         # deep enough for the decoder of every supported Python to give up
@@ -610,6 +640,17 @@ class TestBench:
             assert pair["brute"].traces == 2 ** n
             assert pair["fast"].traces == 0
             assert pair["brute"].verdict == pair["fast"].verdict
+
+    def test_parallel_suite_engines_agree(self):
+        records = run_bench("parallel", 1, 4)
+        by_n = {}
+        for r in records:
+            by_n.setdefault(r.n, {})[r.engine] = r
+        # 63,063,000 runs at n = 4: past the cap, so fast only
+        assert sorted(by_n[4]) == ["fast"] and not by_n[4]["fast"].verdict
+        for n in (1, 2, 3):
+            assert by_n[n]["brute"].verdict == by_n[n]["fast"].verdict
+        assert by_n[3]["brute"].traces == 1680
 
     @pytest.mark.parametrize("suite,n_min,n_max", [
         pytest.param("reduction", "0", "2", id="zero"),
