@@ -6,8 +6,8 @@ engine over interpretation models whose trace count doubles per atom;
 instances where only the latter stays polynomial; and "parallel" runs
 full checks of both on an and-block of n chains of n tasks, whose
 (n·n)!/(n!)^n runs the brute engine lists (while they are within
-``DEFAULT_CAP``) and the fast engine's partial-order reduction mostly
-skips.
+``DEFAULT_CAP``) and the fast engine mostly skips, since it takes the
+quiet tasks out first.
 """
 from __future__ import annotations
 

@@ -5,16 +5,14 @@ observe of a state is its projection onto the requirement and deadline
 literals: two truth bits.  The engine steps the rule's monitor
 (``obligations.monitor``, which the brute engine steps on whole states) on
 those bits, and the carries it can reach compose structurally: fold
-through sequence children, union over choice branches.  Parallel blocks
-have no cheap composition, so they are searched over (residual, carry)
-pairs, each expanded once, with the shared step ``process.frontier``.
-A partial-order reduction (stubborn sets: Valmari 1991; Godefroid,
-*Partial-Order Methods*, 1996) fires first any quiet task that some branch
-cannot avoid next: one that is no trigger and leaves both bits alone, so
-its order among the other branches' moves changes no end carry.  The
-search is refused when it explores more pairs than a cap, so its budget
-follows its cost, not the block's run count; choice-heavy models — where
-brute force blows up — stay polynomial.
+through sequence children, union over choice branches.  A quiet task,
+one that is no trigger and leaves both bits alone, leaves every carry as
+it is, so the quiet tasks are taken out of the model once, before any of
+that.  Parallel blocks have no cheap composition, so they are searched
+over (residual, carry) pairs, each expanded once, with the shared step
+``process.frontier``.  The search is refused when it explores more pairs
+than a cap, so its budget follows its cost, not the block's run count;
+choice-heavy models — where brute force blows up — stay polynomial.
 
 Every query steps that monitor for a set of trigger tasks.  With every
 trigger task in the set, the carries that runs end in decide partial and
@@ -39,7 +37,7 @@ from .net import DEFAULT_CAP, Carry, ExecutionCapExceeded
 from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
                           classify_variant, monitor, monitor_complies)
 from .process import (DONE, AndBlock, Model, ProcessBlock, Seq, Task,
-                      TaskBlock, Xor, frontier, moved, validate)
+                      TaskBlock, Xor, frontier, iter_tasks, validate)
 
 
 class NotLiteralVariant(ValueError):
@@ -101,67 +99,60 @@ _DEAD, _DECIDED = (0, MONITOR_DEAD, True), (0, 0, True)
 _QUIET = (3, 0)  # the masks of a task that leaves both bits alone
 
 
+def _loud(block: ProcessBlock, quiet: Callable[[Task], bool]
+          ) -> ProcessBlock | None:
+    """block without its quiet tasks, or None if it has no other ones.
+
+    A quiet task leaves every carry as it is, so the carries runs end in
+    stay the same.  A choice with an all-quiet branch keeps one task of it
+    as a stand-in, since skipping is a run of its own."""
+    if isinstance(block, TaskBlock):
+        return None if quiet(block.task) else block
+    children = [_loud(child, quiet) for child in block.children]
+    kept = tuple(child for child in children if child is not None)
+    if isinstance(block, Xor) and kept and len(kept) < len(children):
+        skip = block.children[children.index(None)]
+        kept += (TaskBlock(next(iter_tasks(skip))),)
+    if len(kept) > 1:
+        return type(block)(kept)
+    return kept[0] if kept else None
+
+
 def _reach(block: ProcessBlock, states: frozenset[Carry],
-           step: Callable[[Carry, Task], Carry],
-           quiet: Callable[[Task], bool], cap: int) -> frozenset:
+           step: Callable[[Carry, Task], Carry], cap: int) -> frozenset:
     """Carries reachable after some run of the block."""
     if isinstance(block, TaskBlock):
         return frozenset(step(s, block.task) for s in states)
     if isinstance(block, Seq):
         for child in block.children:
-            states = _reach(child, states, step, quiet, cap)
+            states = _reach(child, states, step, cap)
         return states
     if isinstance(block, Xor):
         out: set[Carry] = set()
         for child in block.children:
-            out |= _reach(child, states, step, quiet, cap)
+            out |= _reach(child, states, step, cap)
         return frozenset(out)
     if isinstance(block, AndBlock):
-        return _and_reach(block, states, step, quiet, cap)
+        return _and_reach(block, states, step, cap)
     raise TypeError(f"not a process block: {block!r}")
 
 
-def _quiet_after(r: ProcessBlock, quiet: Callable[[Task], bool]
-                 ) -> ProcessBlock | None:
-    """The residual after a quiet task that is the only next move of some
-    and-branch of r, or None.  Such a task fires in every completion of r,
-    no other move disables it or changes what it does, and it leaves the
-    carry as it is, so firing it first keeps every reachable end carry."""
-    if isinstance(r, TaskBlock):
-        return DONE if quiet(r.task) else None
-    if isinstance(r, Seq):
-        after = _quiet_after(r.children[0], quiet)
-        return None if after is None else moved(Seq, (), after,
-                                                r.children[1:])
-    if isinstance(r, AndBlock):
-        for k, child in enumerate(r.children):
-            after = _quiet_after(child, quiet)
-            if after is not None:
-                return moved(AndBlock, r.children[:k], after,
-                             r.children[k + 1:])
-    return None  # none found, or an Xor: its tasks are alternatives
-
-
 def _and_reach(block: AndBlock, states: frozenset[Carry],
-               step: Callable[[Carry, Task], Carry],
-               quiet: Callable[[Task], bool], cap: int) -> frozenset:
+               step: Callable[[Carry, Task], Carry], cap: int) -> frozenset:
     """Carries reachable after some run of an and-block, by a search over
     (residual, carry) pairs from every incoming carry at once.
 
     Interleavings that reach the same pair share everything after it, so
-    each pair is expanded once.  Quiet tasks that some branch cannot avoid
-    next are fired ahead of everything else (``_quiet_after``): that
-    partial-order reduction keeps the reachable end carries, which is all
-    the queries read.  Each distinct residual is interned to one object,
-    its children first, so pairs hash and compare by identity, never by
-    walking residual trees.  More than ``cap`` pairs is refused."""
+    each pair is expanded once.  Each distinct residual is interned to one
+    object, its children first, so pairs hash and compare by identity,
+    never by walking residual trees.  More than ``cap`` pairs is refused."""
     table: dict[tuple, ProcessBlock] = {}  # (type, child ids) -> residual
     interned: set[int] = set()  # ids of the residuals table holds
     moves: dict[int, list] = {}  # residual id -> [(task, residual after)]
 
     def intern(r: ProcessBlock) -> ProcessBlock:
         if isinstance(r, (TaskBlock, Xor)) or id(r) in interned:
-            return r  # never rebuilt by a move: the model's own object
+            return r  # never rebuilt by a move: one object each
         key = (type(r), *[id(intern(c)) for c in r.children])
         got = table.get(key)
         if got is None:  # the first of its shape stands for all of them
@@ -169,15 +160,7 @@ def _and_reach(block: AndBlock, states: frozenset[Carry],
             interned.add(id(r))
         return got
 
-    def settle(r: ProcessBlock) -> ProcessBlock:
-        """r once every quiet task it cannot avoid next has fired."""
-        while (after := _quiet_after(r, quiet)) is not None:
-            r = after
-        return intern(r)
-
-    root = settle(block)
-    if root is DONE:
-        return states
+    root = intern(block)
     seen = {(id(root), s) for s in states}
     todo = [(root, s) for s in states]
     ends: set[Carry] = set()
@@ -185,7 +168,7 @@ def _and_reach(block: AndBlock, states: frozenset[Carry],
         r, s = todo.pop()
         out = moves.get(id(r))
         if out is None:
-            out = moves[id(r)] = [(t, settle(after))
+            out = moves[id(r)] = [(t, intern(after))
                                   for t, after in frontier(r)]
         for t, after in out:
             carry = step(s, t)
@@ -252,16 +235,18 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
         return bits, mark, fired
 
     def quiet(task: Task) -> bool:
-        """Whether stepping ``task`` leaves every reachable carry as it is:
-        it is no trigger, and the monitor re-judges the same two bits."""
+        """Whether stepping ``task`` leaves every reachable carry as it is,
+        so ``_loud`` may take it out: it is no trigger, and the monitor
+        re-judges the same two bits."""
         return masks[task.id] == _QUIET and task.id not in trigger_ids
 
     # runs start empty, where exactly the negative literals hold
     start = sum(bit for f, bit in ((o.requirement, _REQUIREMENT),
                                    (o.deadline, _DEADLINE))
                 if eval_formula(f, EMPTY_STATE))
-    return _reach(m.root, frozenset(((start, mark, False),)), step, quiet,
-                  and_cap)
+    starts = frozenset(((start, mark, False),))
+    loud = _loud(m.root, quiet)
+    return starts if loud is None else _reach(loud, starts, step, and_cap)
 
 
 def _interval_outcomes(m: Model, o: Obligation, x: Task,

@@ -60,23 +60,62 @@ class TaskBlock:
     task: Task
 
 
-@dataclass(frozen=True)
-class Seq:
+class Composite:
+    """Structural ==, hash and repr for the composite blocks, written with
+    an explicit stack, so that a tree MAX_DEPTH deep needs no recursion."""
+
+    def _shape(self) -> list:
+        """Each block's kind and child count, or its task, in pre-order,
+        which equal trees and only they share."""
+        shape, todo = [], [self]
+        while todo:
+            block = todo.pop()
+            if isinstance(block, TaskBlock):
+                shape.append(block.task)
+            else:
+                shape.append((type(block), len(block.children)))
+                todo.extend(reversed(block.children))
+        return shape
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(tuple(self._shape()))
+
+    def __repr__(self):  # as the dataclass repr prints it
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, Composite):
+                out.append(item if isinstance(item, str) else repr(item))
+                continue
+            parts = [", "] * (2 * len(item.children) - 1)
+            parts[::2] = item.children
+            out.append(f"{type(item).__name__}(children=(")
+            todo += [",))" if len(item.children) == 1 else "))",
+                     *reversed(parts)]
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(Composite):
     children: tuple["ProcessBlock", ...]
 
 
-@dataclass(frozen=True)
-class Xor:
+@dataclass(frozen=True, eq=False, repr=False)
+class Xor(Composite):
     children: tuple["ProcessBlock", ...]
 
 
-@dataclass(frozen=True)
-class AndBlock:
+@dataclass(frozen=True, eq=False, repr=False)
+class AndBlock(Composite):
     children: tuple["ProcessBlock", ...]
 
 
 ProcessBlock = Union[TaskBlock, Seq, Xor, AndBlock]
-Composite = (Seq, Xor, AndBlock)
 
 
 def task(id: str, *literals) -> TaskBlock:
@@ -230,8 +269,8 @@ def frontier(residual: ProcessBlock) -> list[Move]:
     return moves
 
 
-def moved(kind: type, before: tuple, after: ProcessBlock,
-          rest: tuple) -> ProcessBlock:
+def _moved(kind: type, before: tuple, after: ProcessBlock,
+           rest: tuple) -> ProcessBlock:
     """What is left of a ``kind`` (Seq or AndBlock) residual once its child
     between ``before`` and ``rest`` has become ``after``: a finished child
     drops out, one child left is that child, and none left is DONE."""
@@ -246,13 +285,13 @@ def _frontier(r: ProcessBlock) -> list[Move]:
         return [(r.task, DONE)]
     if isinstance(r, Seq):
         rest = r.children[1:]
-        return [(t, moved(Seq, (), after, rest))
+        return [(t, _moved(Seq, (), after, rest))
                 for t, after in _frontier(r.children[0])]
     if isinstance(r, Xor):
         return [move for child in r.children for move in _frontier(child)]
     if isinstance(r, AndBlock):
         children = r.children
-        return [(t, moved(AndBlock, children[:k], after, children[k + 1:]))
+        return [(t, _moved(AndBlock, children[:k], after, children[k + 1:]))
                 for k, child in enumerate(children)
                 for t, after in _frontier(child)]
     raise TypeError(f"not a residual: {r!r}")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 from conftest import build_example_model
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from strategies import literals, models
 from test_engine import reference_report
@@ -285,8 +285,17 @@ class TestWholeModelChecks:
         assert not check_partial(m, RuleSet((o,))).verdict
         assert not partial_compliant_fast(m, o)
 
+    # a choice with a quiet branch keeps skipping as an option: q sets
+    # nothing the rule reads, k breaks it
     @settings(max_examples=50)
     @given(models(max_tasks=5), single_local_literal_rules())
+    @example(validate(seq(task("x", "a"),
+                          and_(xor(task("q", "c"), task("k", "d")),
+                               task("y", "c")))),
+             lit_rule("maintenance", "!d", "a", "e"))
+    @example(validate(seq(task("x", "a"),
+                          xor(task("q", "c"), task("k", "d")))),
+             lit_rule("maintenance", "!d", "a", "e"))
     def test_differential_against_brute_force(self, m, o):
         rs = RuleSet((o,))
         try:
@@ -339,14 +348,17 @@ class TestScaling:
         assert full_compliant_fast(m, o) == check_full(m, rs).verdict
 
     def test_quiet_tasks_need_no_budget(self):
-        # 5040 runs of tasks that leave the rule's bits alone: the
-        # reduction fires them one after another, so one pair is enough
-        m = validate(and_(*(task(f"t{k}", "c") for k in range(1, 8))),
-                     name="fanout")
+        # every task leaves the rule's bits alone, so the quiet tasks are
+        # taken out before any search, also under choices
         o = lit_rule("achievement", "b", "a", "d")
-        assert count_executions(m.body) == 5040
-        assert partial_compliant_fast(m, o, and_cap=1)
-        assert full_compliant_fast(m, o, and_cap=1)
+        for body, runs in [
+                (and_(*(task(f"t{k}", "c") for k in range(1, 8))), 5040),
+                (and_(*(xor(task(f"q{k}", "c"), task(f"r{k}", "-c"))
+                        for k in range(1, 8))), 5040 * 2 ** 7)]:
+            m = validate(body, name="fanout")
+            assert count_executions(m.body) == runs
+            assert partial_compliant_fast(m, o, and_cap=1)
+            assert full_compliant_fast(m, o, and_cap=1)
 
     def test_fast_queries_default_to_the_check_cap(self):
         # 34,650 runs: within the cap that run_check and the CLI pass

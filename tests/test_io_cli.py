@@ -143,7 +143,8 @@ class TestModelFiles:
         assert run_check(m, rules, "full", engine="fast").verdict is full
         assert run_check(m, rules, "partial", engine="fast").verdict
         dump_model(m, path)
-        assert load_model(path).tasks() == m.tasks()
+        assert load_model(path) == m
+        assert repr(m).count("TaskBlock(") == len(m.tasks())
         limit = [] if full else ["--limit", "1"]
         assert main(["enumerate", "--model", str(path), *limit]) == 0
         rows = capsys.readouterr().out.splitlines()
