@@ -7,7 +7,7 @@ instances where only the latter stays polynomial; and "parallel" runs
 full checks of both on an and-block of n chains of n tasks, whose
 (n·n)!/(n!)^n runs the brute engine lists (while they are within
 ``DEFAULT_CAP``) and the fast engine mostly skips, since it takes the
-quiet tasks out first.
+block's quiet tasks out before searching it.
 """
 from __future__ import annotations
 

@@ -7,9 +7,9 @@ literals: two truth bits.  The engine steps the rule's monitor
 those bits, and the carries it can reach compose structurally: fold
 through sequence children, union over choice branches.  A quiet task,
 one that is no trigger and leaves both bits alone, leaves every carry as
-it is, so the quiet tasks are taken out of the model once, before any of
-that.  Parallel blocks have no cheap composition, so they are searched
-over (residual, carry) pairs, each expanded once, with the shared step
+it is, so the fold passes over it.  Parallel blocks have no cheap
+composition, so they are searched, without their quiet tasks, over
+(residual, carry) pairs, each expanded once, with the shared step
 ``process.frontier``.  The search is refused when it explores more pairs
 than a cap, so its budget follows its cost, not the block's run count;
 choice-heavy models — where brute force blows up — stay polynomial.
@@ -18,9 +18,9 @@ Every query steps that monitor for a set of trigger tasks.  With every
 trigger task in the set, the carries that runs end in decide partial and
 full compliance exactly.  With the set {x}, the endings of the runs where
 x fired tell whether x's interval can be satisfied or violated.  A query
-walks the model's task list once, for the trigger tasks and for how each
-task moves the two bits; ``label_triggers`` shares that walk among its
-triggers.
+walks the model's task list once, reading each annotation's masks for
+the trigger tasks and for how each task moves the two bits;
+``label_triggers`` shares that walk among its triggers.
 
 The structural `erase` operation removes tasks from a model such that the
 surviving runs are exactly the original runs avoiding them; together with
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .formula import EMPTY_STATE, eval_formula, formula_to_literal
+from .formula import EMPTY_STATE, atom_bit, eval_formula, formula_to_literal
 from .net import DEFAULT_CAP, Carry, ExecutionCapExceeded
 from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
                           classify_variant, monitor, monitor_complies)
@@ -103,9 +103,9 @@ def _loud(block: ProcessBlock, quiet: Callable[[Task], bool]
           ) -> ProcessBlock | None:
     """block without its quiet tasks, or None if it has no other ones.
 
-    A quiet task leaves every carry as it is, so the carries runs end in
-    stay the same.  A choice with an all-quiet branch keeps one task of it
-    as a stand-in, since skipping is a run of its own."""
+    A quiet task leaves every carry as it is, so searching an and-block
+    without them reaches the same carries.  A choice with an all-quiet
+    branch keeps one task of it as a stand-in: skipping is a run too."""
     if isinstance(block, TaskBlock):
         return None if quiet(block.task) else block
     children = [_loud(child, quiet) for child in block.children]
@@ -119,21 +119,27 @@ def _loud(block: ProcessBlock, quiet: Callable[[Task], bool]
 
 
 def _reach(block: ProcessBlock, states: frozenset[Carry],
-           step: Callable[[Carry, Task], Carry], cap: int) -> frozenset:
+           step: Callable[[Carry, Task], Carry],
+           quiet: Callable[[Task], bool], cap: int) -> frozenset:
     """Carries reachable after some run of the block."""
     if isinstance(block, TaskBlock):
-        return frozenset(step(s, block.task) for s in states)
+        return states if quiet(block.task) else frozenset(
+            step(s, block.task) for s in states)
     if isinstance(block, Seq):
         for child in block.children:
-            states = _reach(child, states, step, cap)
+            states = _reach(child, states, step, quiet, cap)
         return states
     if isinstance(block, Xor):
         out: set[Carry] = set()
         for child in block.children:
-            out |= _reach(child, states, step, cap)
+            out |= _reach(child, states, step, quiet, cap)
         return frozenset(out)
     if isinstance(block, AndBlock):
-        return _and_reach(block, states, step, cap)
+        loud = _loud(block, quiet)
+        if isinstance(loud, AndBlock):
+            return _and_reach(loud, states, step, cap)
+        return states if loud is None else _reach(loud, states, step,
+                                                  quiet, cap)
     raise TypeError(f"not a process block: {block!r}")
 
 
@@ -187,25 +193,29 @@ def _scan_tasks(m: Model, o: Obligation
                 ) -> tuple[dict[str, Task], dict[str, tuple[int, int]]]:
     """o's trigger tasks by id, in declaration order, and each task's masks
     on o's two truth bits, (bits kept, bits set), from one walk over m's
-    tasks."""
+    tasks that reads their annotations' masks."""
     if o.is_global:
         raise NotLiteralVariant("rule has no trigger: nothing to anchor at")
     if not o.literal_fields():
         raise NotLiteralVariant(
             "requirement, trigger and deadline must all be literals")
-    literals = [(lit, lit.negate(), bit) for lit, bit in (
+    # (atom bit, polarity, truth bit) of the requirement and the deadline
+    fields = [(atom_bit(lit.atom), lit.positive, bit) for lit, bit in (
         (formula_to_literal(o.requirement), _REQUIREMENT),
         (formula_to_literal(o.deadline), _DEADLINE))]
+    trigger = formula_to_literal(o.trigger)
+    trigger_bit = atom_bit(trigger.atom)
     triggers, masks = {}, {}
-    for t in m.tasks():
-        ann, keep, put = t.annotation, 3, 0
-        for lit, negation, bit in literals:
-            if lit in ann:
+    for t in iter_tasks(m.root):
+        pos, neg, keep, put = t.annotation.pos, t.annotation.neg, 3, 0
+        for b, positive, bit in fields:
+            if (pos if positive else neg) & b:
                 put |= bit
-            elif negation in ann:
+            elif (neg if positive else pos) & b:
                 keep ^= bit
         masks[t.id] = keep, put
-        if eval_formula(o.trigger, ann):
+        # closed world: !u holds on every task that does not assert u
+        if bool(pos & trigger_bit) is trigger.positive:
             triggers[t.id] = t
     return triggers, masks
 
@@ -234,19 +244,15 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
             return _DECIDED
         return bits, mark, fired
 
-    def quiet(task: Task) -> bool:
-        """Whether stepping ``task`` leaves every reachable carry as it is,
-        so ``_loud`` may take it out: it is no trigger, and the monitor
-        re-judges the same two bits."""
+    def quiet(task: Task) -> bool:  # no trigger, both bits left alone
         return masks[task.id] == _QUIET and task.id not in trigger_ids
 
     # runs start empty, where exactly the negative literals hold
     start = sum(bit for f, bit in ((o.requirement, _REQUIREMENT),
                                    (o.deadline, _DEADLINE))
                 if eval_formula(f, EMPTY_STATE))
-    starts = frozenset(((start, mark, False),))
-    loud = _loud(m.root, quiet)
-    return starts if loud is None else _reach(loud, starts, step, and_cap)
+    return _reach(m.root, frozenset(((start, mark, False),)), step, quiet,
+                  and_cap)
 
 
 def _interval_outcomes(m: Model, o: Obligation, x: Task,

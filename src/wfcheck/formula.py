@@ -146,8 +146,8 @@ def parse_literal(text: str) -> Literal:
 # ``pos`` holds when atom i is asserted, bit i of ``neg`` when its negation
 # is.  Atoms are numbered first come, first numbered, so the numbering
 # depends on what a process met first; nothing outside this section reads
-# it, and nothing a state shows (its literals as a set, sorted or as text)
-# depends on it.
+# it but through ``atom_bit``, against a state's masks, and nothing a state
+# shows (its literals as a set, sorted or as text) depends on it.
 
 _BITS: dict[str, int] = {}  # atom name -> its bit
 _PAIRS: list[tuple[Literal, Literal]] = []  # bit index -> (a, -a)
@@ -165,6 +165,12 @@ def _bit(atom: str) -> int:
                 _PAIRS.append((Literal(atom, True), Literal(atom, False)))
                 bit = _BITS[atom] = 1 << (len(_PAIRS) - 1)
     return bit
+
+
+def atom_bit(atom: str) -> int:
+    """The atom's bit in a state's masks, or 0 for an atom no state has
+    mentioned, which no state holds; unlike ``_bit``, it numbers no atom."""
+    return _BITS.get(atom, 0)
 
 
 def _indices(mask: int) -> Iterator[int]:

@@ -151,12 +151,15 @@ class Model:
 
 
 def iter_tasks(block: ProcessBlock) -> Iterator[Task]:
-    """All task leaves in declaration order."""
-    if isinstance(block, TaskBlock):
-        yield block.task
-    else:
-        for child in block.children:
-            yield from iter_tasks(child)
+    """All task leaves in declaration order, walked with an explicit stack,
+    so that a task costs the same at any depth."""
+    todo = [block]
+    while todo:
+        block = todo.pop()
+        if isinstance(block, TaskBlock):
+            yield block.task
+        else:
+            todo.extend(reversed(block.children))
 
 
 def _normalise(block: ProcessBlock) -> ProcessBlock:

@@ -4,12 +4,13 @@ import random
 import time
 
 import pytest
-from conftest import build_example_model
+from conftest import build_example_model, build_level
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from strategies import literals, models
+from strategies import ATOM_POOL, literals, models
 from test_engine import reference_report
 
+from wfcheck import fastpath, formula
 from wfcheck.bench import _and_chains
 from wfcheck.engine import check_full, check_partial, run_check
 from wfcheck.fastpath import (ROOT_REMOVED, NotLiteralVariant, RootRemoved,
@@ -19,7 +20,8 @@ from wfcheck.fastpath import (ROOT_REMOVED, NotLiteralVariant, RootRemoved,
                               partial_compliant_fast,
                               require_single_local_literal,
                               trigger_transitions)
-from wfcheck.formula import Or, parse_formula
+from wfcheck.formula import (Or, atom_bit, eval_formula, formula_to_literal,
+                             parse_formula)
 from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.net import (ExecutionCapExceeded, derive_trace,
                          enumerate_executions)
@@ -38,12 +40,12 @@ def lit_rule(kind, rho, tau, delta):
                       parse_formula(delta))
 
 
-def single_local_literal_rules():
+def single_local_literal_rules(pool=ATOM_POOL):
     kinds = st.sampled_from((Kind.ACHIEVEMENT, Kind.MAINTENANCE))
     return st.builds(
         lambda k, r, t, d: Obligation(k, r.to_formula(), t.to_formula(),
                                       d.to_formula()),
-        kinds, literals(), literals(), literals())
+        kinds, literals(pool), literals(pool), literals(pool))
 
 
 def task_id_runs(m):
@@ -80,6 +82,76 @@ class TestTriggerTransitions:
         o = Obligation(Kind.MAINTENANCE, parse_formula("b"))
         with pytest.raises(NotLiteralVariant):
             trigger_transitions(example_model, o)
+
+
+UNMENTIONED = "never_asserted"  # an atom that no state in the tests holds
+
+
+def literal_reading(m, o):
+    """What ``_scan_tasks`` finds, read one literal at a time: the trigger
+    ids in declaration order, and each task's (bits kept, bits set)."""
+    fields = [(formula_to_literal(f), bit) for f, bit in (
+        (o.requirement, fastpath._REQUIREMENT),
+        (o.deadline, fastpath._DEADLINE))]
+    masks = {}
+    for t in m.tasks():
+        keep, put = 3, 0
+        for lit, bit in fields:
+            if lit in t.annotation:
+                put |= bit
+            elif lit.negate() in t.annotation:
+                keep ^= bit
+        masks[t.id] = keep, put
+    triggers = [t.id for t in m.tasks() if eval_formula(o.trigger,
+                                                        t.annotation)]
+    return triggers, masks
+
+
+def mask_reading(m, o):
+    triggers, masks = fastpath._scan_tasks(m, o)
+    return list(triggers), masks
+
+
+class TestMaskReading:
+    """``_scan_tasks`` reads annotations through their masks: it must find
+    what reading them one literal at a time finds."""
+
+    @given(models(), single_local_literal_rules(ATOM_POOL + (UNMENTIONED,)))
+    def test_masks_equal_the_literal_reading(self, m, o):
+        assert mask_reading(m, o) == literal_reading(m, o)
+
+    def test_negative_trigger_on_an_unmentioned_atom(self, example_model):
+        o = lit_rule("achievement", "b", f"!{UNMENTIONED}", "d")
+        assert atom_bit(UNMENTIONED) == 0
+        triggers, masks = mask_reading(example_model, o)
+        # closed world: !u holds on every task, since none asserts u
+        assert triggers == [t.id for t in example_model.tasks()]
+        assert (triggers, masks) == literal_reading(example_model, o)
+
+    def test_requirement_and_deadline_on_one_atom(self):
+        # <a, a, !a>: asserting a sets the requirement and clears the
+        # deadline, asserting -a the other way round
+        m = validate(build_level(2), name="level2")
+        o = lit_rule("achievement", "a", "a", "!a")
+        triggers, masks = mask_reading(m, o)
+        assert (triggers, masks) == literal_reading(m, o)
+        assert {masks[t.id] for t in m.tasks()} == {
+            fastpath._QUIET, (fastpath._REQUIREMENT, fastpath._REQUIREMENT),
+            (fastpath._DEADLINE, fastpath._DEADLINE)}
+        assert triggers == [t.id for t in m.tasks()
+                            if masks[t.id][1] == fastpath._REQUIREMENT]
+
+    def test_queries_number_no_atom(self, example_model):
+        before = dict(formula._BITS)
+        for o in (lit_rule("achievement", UNMENTIONED, "a", "d"),
+                  lit_rule("maintenance", "b", f"!{UNMENTIONED}",
+                           UNMENTIONED)):
+            partial_compliant_fast(example_model, o)
+            full_compliant_fast(example_model, o)
+            for x in label_triggers(example_model, o):
+                instance_violable(example_model, o, x.task)
+        assert formula._BITS == before
+        assert atom_bit(UNMENTIONED) == 0
 
 
 class TestInstanceAnalysis:
@@ -432,4 +504,85 @@ class TestPartialOrderReduction:
                 == reference_report(m, rs, "partial", False)[0]
             assert full_compliant_fast(m, o) \
                 == reference_report(m, rs, "full", False)[0]
+            TestInstanceAnalysis.assert_agrees_with_trace_enumeration(m, o)
+
+
+def quiet_branch_instance(rng):
+    """A trigger, then one to three parts, each a choice or an and-block,
+    under one literal rule over a, b and d with a positive trigger.  A
+    choice puts an all-quiet branch (one or two tasks with a noise literal
+    or none) beside a task that carries a rule literal; an and-block has
+    two branches, each such a choice, an all-quiet branch, a loud task or
+    a loud task before a choice.  So all-quiet branches stand under
+    choices both outside and inside and-blocks, and some and-blocks keep
+    one loud branch or none."""
+    ids = itertools.count()
+    loud = ("a", "-a", "b", "-b", "d", "-d")
+
+    def leaf(annotations):
+        ann = rng.choice(annotations)
+        return task(f"t{next(ids)}", *([ann] if ann else []))
+
+    def quiet():
+        parts = [leaf(("c", "-c", "e", None))
+                 for _ in range(rng.randint(1, 2))]
+        return parts[0] if len(parts) == 1 else seq(*parts)
+
+    def choice():
+        branches = [quiet(), leaf(loud)]
+        rng.shuffle(branches)
+        return xor(*branches)
+
+    def branch():
+        kind = rng.choice(("choice", "quiet", "loud", "loud choice"))
+        if kind == "loud choice":
+            return seq(leaf(loud), choice())
+        return {"choice": choice, "quiet": quiet,
+                "loud": lambda: leaf(loud)}[kind]()
+
+    parts = [choice() if rng.random() < 0.5 else and_(branch(), branch())
+             for _ in range(rng.randint(1, 3))]
+    atoms = rng.sample("abd", 3)
+    kind = rng.choice(("achievement", "maintenance"))
+    o = lit_rule(kind, rng.choice(("", "!")) + atoms[0], atoms[1],
+                 rng.choice(("", "!")) + atoms[2])
+    return validate(seq(leaf(("a", "b")), *parts), name="quiet"), o
+
+
+class TestQuietSkip:
+    """The fold passes over quiet tasks, and only an and-block is rebuilt
+    without them before its search."""
+
+    def test_models_without_and_blocks_are_not_rebuilt(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no and-block to search")
+
+        monkeypatch.setattr(fastpath, "_loud", refuse)
+        monkeypatch.setattr(fastpath, "_and_reach", refuse)
+        o = lit_rule("achievement", "b", "a", "d")
+        m = validate(seq(task("x", "a"), xor(task("q", "c"), task("k", "b")),
+                         xor(seq(task("r"), task("s", "-c")),
+                             task("y", "d"))), name="choices")
+        rs = RuleSet((o,))
+        assert partial_compliant_fast(m, o) == check_partial(m, rs).verdict
+        assert full_compliant_fast(m, o) == check_full(m, rs).verdict
+        TestInstanceAnalysis.assert_agrees_with_trace_enumeration(m, o)
+        with pytest.raises(AssertionError, match="no and-block"):
+            partial_compliant_fast(validate(seq(
+                task("x", "a"), and_(task("y", "b"), task("z", "d")))), o)
+
+    @pytest.mark.parametrize("first_seed", range(0, 300, 75))
+    def test_quiet_branches_agree_with_the_reference(self, first_seed):
+        for seed in range(first_seed, first_seed + 75):
+            rng = random.Random(seed)
+            m, o = quiet_branch_instance(rng)
+            while count_executions(m.root) > 400:
+                m, o = quiet_branch_instance(rng)
+            rs = RuleSet((o,))
+            assert partial_compliant_fast(m, o) \
+                == reference_report(m, rs, "partial", False)[0]
+            assert full_compliant_fast(m, o) \
+                == reference_report(m, rs, "full", False)[0]
+            assert [t.id for t in trigger_transitions(m, o)] \
+                == literal_reading(m, o)[0]
             TestInstanceAnalysis.assert_agrees_with_trace_enumeration(m, o)

@@ -13,9 +13,9 @@ from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, Marking,
                          enabled, enumerate_executions, enumerate_traces,
                          fire, replay)
 from wfcheck.process import (DONE, AndBlock, DuplicateTaskId, EmptyBlock,
-                             InconsistentAnnotation, InvalidTaskId, Seq, Task,
-                             TaskBlock, and_, count_executions, frontier,
-                             iter_tasks, seq, task, validate, xor)
+                             MAX_DEPTH, InconsistentAnnotation, InvalidTaskId,
+                             Seq, Task, TaskBlock, and_, count_executions,
+                             frontier, iter_tasks, seq, task, validate, xor)
 
 # The running example: four runs, with the states each one accumulates.
 EXPECTED_RUNS = [
@@ -68,6 +68,41 @@ class TestValidate:
         leaf = TaskBlock(Task("t1", frozenset()))
         with pytest.raises(InconsistentAnnotation):
             validate(leaf)
+
+
+def recursive_tasks(block):
+    """The task leaves in declaration order, by plain recursion."""
+    if isinstance(block, TaskBlock):
+        return [block.task]
+    return [t for child in block.children for t in recursive_tasks(child)]
+
+
+def deep_nest(depth):
+    """Blocks nesting ``depth`` deep: each level a seq, xor or and of a
+    task and the level below it, the level below first on odd levels."""
+    block = task("t0")
+    for k in range(1, depth):
+        kind, leaf = (seq, xor, and_)[k % 3], task(f"t{k}")
+        block = kind(block, leaf) if k % 2 else kind(leaf, block)
+    return block
+
+
+class TestIterTasks:
+    @given(models())
+    @example(validate(seq(xor(task("a"), seq(task("b"), task("c"))),
+                          and_(task("d"), task("e")))))
+    def test_declaration_order(self, m):
+        assert list(iter_tasks(m.root)) == recursive_tasks(m.root)
+
+    def test_a_max_depth_nest(self):
+        m = validate(deep_nest(MAX_DEPTH))
+        tasks = list(iter_tasks(m.root))
+        assert tasks == recursive_tasks(m.root)
+        assert len(tasks) == MAX_DEPTH + 2
+        # the outermost level puts the nest before its task, the level
+        # below it puts its task first
+        assert [t.id for t in tasks[:2] + tasks[-2:]] == [
+            "start", f"t{MAX_DEPTH - 2}", f"t{MAX_DEPTH - 1}", "end"]
 
 
 class TestCompile:
