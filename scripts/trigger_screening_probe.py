@@ -21,8 +21,7 @@ Usage: python scripts/trigger_screening_probe.py [--samples 2000] [--seed 0]
 """
 import argparse
 
-from wfcheck.fastpath import (ROOT_REMOVED, erase, label_triggers,
-                              partial_compliant_fast,
+from wfcheck.fastpath import (erase, label_triggers, partial_compliant_fast,
                               require_single_local_literal)
 from wfcheck.formula import parse_formula
 from wfcheck.generate import GeneratorConfig, generate_instance
@@ -74,11 +73,10 @@ def show_pruning_instability(model, rule) -> None:
     show(model, rule)
     hopeless = [t.task for t in label_triggers(model, rule)
                 if not t.satisfiable]
-    pruned = erase(model, hopeless)
-    if pruned is ROOT_REMOVED:
+    survivor = erase(model, hopeless)
+    if survivor is None:
         print("  pruning hopeless triggers removes every run")
         return
-    survivor = pruned.model
     print(f"  after pruning {', '.join(t.id for t in hopeless)} the "
           f"survivor keeps {len(survivor.tasks()) - 2} tasks:")
     for t in label_triggers(survivor, rule):

@@ -2,8 +2,8 @@
 
 from .engine import (ComplianceReport, Witness, check_full, check_non,
                      check_partial, run_check, trace_complies)
-from .fastpath import (ROOT_REMOVED, Survives, TriggerAnalysis, WrongVariant,
-                       erase, full_compliant_fast, instance_satisfiable,
+from .fastpath import (TriggerAnalysis, WrongVariant, erase,
+                       full_compliant_fast, instance_satisfiable,
                        instance_violable, label_triggers,
                        partial_compliant_fast)
 from .fileio import (dump_model, dump_rules, format_report, load_model,
@@ -17,7 +17,7 @@ from .net import (ExecutionCapExceeded, Execution, Trace, compile_to_net,
 from .obligations import (Kind, Obligation, RuleSet, VariantTag,
                           classify_variant, eval_obligation,
                           in_force_intervals)
-from .process import (AndBlock, Model, Seq, Task, TaskBlock, Xor, and_,
+from .process import (AndBlock, Model, Seq, Task, Xor, and_,
                       count_executions, seq, task, validate, xor)
 from .reduction import (ReductionCheck, ReductionInstance,
                         build_interpretation_model, verify_reduction_steps)

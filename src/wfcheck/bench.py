@@ -21,8 +21,7 @@ from .engine import DEFAULT_CAP, check_full, check_partial
 from .fastpath import full_compliant_fast, partial_compliant_fast
 from .formula import And, Atom, Formula, Not, Or, State
 from .obligations import Kind, Obligation, RuleSet
-from .process import (AndBlock, Seq, Task, TaskBlock, Xor, count_executions,
-                      validate)
+from .process import AndBlock, Seq, Task, Xor, count_executions, validate
 from .reduction import build_interpretation_model
 
 CSV_HEADER = ("instance", "engine", "n", "wall_ms", "traces", "verdict")
@@ -78,11 +77,11 @@ def _xor_chain(n: int):
     """A trigger, n binary choices on an unrelated atom, then the
     deadline.  The requirement atom is never asserted, so the brute
     partial check must walk all 2^n runs before giving up."""
-    blocks = [TaskBlock(Task("x1", State.of("a")))]
+    blocks = [Task("x1", State.of("a"))]
     for k in range(1, n + 1):
-        blocks.append(Xor((TaskBlock(Task(f"p{k}", State.of("c"))),
-                           TaskBlock(Task(f"q{k}", State.of("-c"))))))
-    blocks.append(TaskBlock(Task("z", State.of("d"))))
+        blocks.append(Xor((Task(f"p{k}", State.of("c")),
+                           Task(f"q{k}", State.of("-c")))))
+    blocks.append(Task("z", State.of("d")))
     model = validate(Seq(tuple(blocks)), name=f"xor-chain-{n}")
     rule = Obligation(Kind.ACHIEVEMENT, Atom("b"),
                       trigger=Atom("a"), deadline=Atom("d"))
@@ -110,12 +109,12 @@ def _and_chains(n: int):
     requirement b or the deadline d, by (c + j) mod 4, when (c + j) mod 3
     is 0; every other task carries one noise literal of its chain."""
     roles = ("b", "-b", "d", "-d")
-    lanes = [Seq(tuple(TaskBlock(Task(f"c{c}_{j}", State.of(
+    lanes = [Seq(tuple(Task(f"c{c}_{j}", State.of(
                  roles[(c + j) % 4] if (c + j) % 3 == 0
-                 else f"e{c}" if j % 2 == 0 else f"-e{c}")))
+                 else f"e{c}" if j % 2 == 0 else f"-e{c}"))
                  for j in range(n)))
              for c in range(n)]
-    body = Seq((TaskBlock(Task("x", State.of("a"))), AndBlock(tuple(lanes))))
+    body = Seq((Task("x", State.of("a")), AndBlock(tuple(lanes))))
     model = validate(body, name=f"and-chains-{n}")
     rule = Obligation(Kind.ACHIEVEMENT, Atom("b"),
                       trigger=Atom("a"), deadline=Atom("d"))

@@ -23,9 +23,9 @@ the trigger tasks and for how each task moves the two bits;
 ``label_triggers`` shares that walk among its triggers.
 
 The structural `erase` operation removes tasks from a model such that the
-surviving runs are exactly the original runs avoiding them; together with
-the per-trigger labelling it supports the screening procedure of marking
-hopeless triggers as not executable.
+surviving runs are exactly the original runs avoiding them (None if there
+are none); together with the per-trigger labelling it supports the
+screening procedure of marking hopeless triggers as not executable.
 """
 from __future__ import annotations
 
@@ -36,12 +36,8 @@ from .formula import EMPTY_STATE, atom_bit, eval_formula, formula_to_literal
 from .net import DEFAULT_CAP, Carry, ExecutionCapExceeded
 from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
                           classify_variant, monitor, monitor_complies)
-from .process import (DONE, AndBlock, Model, ProcessBlock, Seq, Task,
-                      TaskBlock, Xor, frontier, iter_tasks, validate)
-
-
-class NotLiteralVariant(ValueError):
-    """The rule's requirement, trigger or deadline is not a literal."""
+from .process import (DONE, AndBlock, Model, ProcessBlock, Seq, Task, Xor,
+                      frontier, iter_tasks, validate)
 
 
 class WrongVariant(ValueError):
@@ -50,19 +46,6 @@ class WrongVariant(ValueError):
     def __init__(self, variant: str):
         super().__init__(f"fast engine needs variant 1L-, got {variant}")
         self.variant = variant
-
-
-@dataclass(frozen=True)
-class Survives:
-    model: Model
-
-
-class RootRemoved:
-    def __repr__(self):
-        return "RootRemoved()"
-
-
-ROOT_REMOVED = RootRemoved()
 
 
 @dataclass(frozen=True)
@@ -106,13 +89,13 @@ def _loud(block: ProcessBlock, quiet: Callable[[Task], bool]
     A quiet task leaves every carry as it is, so searching an and-block
     without them reaches the same carries.  A choice with an all-quiet
     branch keeps one task of it as a stand-in: skipping is a run too."""
-    if isinstance(block, TaskBlock):
-        return None if quiet(block.task) else block
+    if isinstance(block, Task):
+        return None if quiet(block) else block
     children = [_loud(child, quiet) for child in block.children]
     kept = tuple(child for child in children if child is not None)
     if isinstance(block, Xor) and kept and len(kept) < len(children):
         skip = block.children[children.index(None)]
-        kept += (TaskBlock(next(iter_tasks(skip))),)
+        kept += (next(iter_tasks(skip)),)
     if len(kept) > 1:
         return type(block)(kept)
     return kept[0] if kept else None
@@ -122,9 +105,9 @@ def _reach(block: ProcessBlock, states: frozenset[Carry],
            step: Callable[[Carry, Task], Carry],
            quiet: Callable[[Task], bool], cap: int) -> frozenset:
     """Carries reachable after some run of the block."""
-    if isinstance(block, TaskBlock):
-        return states if quiet(block.task) else frozenset(
-            step(s, block.task) for s in states)
+    if isinstance(block, Task):
+        return states if quiet(block) else frozenset(
+            step(s, block) for s in states)
     if isinstance(block, Seq):
         for child in block.children:
             states = _reach(child, states, step, quiet, cap)
@@ -157,7 +140,7 @@ def _and_reach(block: AndBlock, states: frozenset[Carry],
     moves: dict[int, list] = {}  # residual id -> [(task, residual after)]
 
     def intern(r: ProcessBlock) -> ProcessBlock:
-        if isinstance(r, (TaskBlock, Xor)) or id(r) in interned:
+        if isinstance(r, (Task, Xor)) or id(r) in interned:
             return r  # never rebuilt by a move: one object each
         key = (type(r), *[id(intern(c)) for c in r.children])
         got = table.get(key)
@@ -193,12 +176,8 @@ def _scan_tasks(m: Model, o: Obligation
                 ) -> tuple[dict[str, Task], dict[str, tuple[int, int]]]:
     """o's trigger tasks by id, in declaration order, and each task's masks
     on o's two truth bits, (bits kept, bits set), from one walk over m's
-    tasks that reads their annotations' masks."""
-    if o.is_global:
-        raise NotLiteralVariant("rule has no trigger: nothing to anchor at")
-    if not o.literal_fields():
-        raise NotLiteralVariant(
-            "requirement, trigger and deadline must all be literals")
+    tasks that reads their annotations' masks; WrongVariant unless 1L-."""
+    require_single_local_literal(RuleSet((o,)))
     # (atom bit, polarity, truth bit) of the requirement and the deadline
     fields = [(atom_bit(lit.atom), lit.positive, bit) for lit, bit in (
         (formula_to_literal(o.requirement), _REQUIREMENT),
@@ -312,8 +291,8 @@ def full_compliant_fast(m: Model, o: Obligation,
 
 def _erase_block(block: ProcessBlock,
                  dead_ids: frozenset[str]) -> ProcessBlock | None:
-    if isinstance(block, TaskBlock):
-        return None if block.task.id in dead_ids else block
+    if isinstance(block, Task):
+        return None if block.id in dead_ids else block
     children = [_erase_block(c, dead_ids) for c in block.children]
     if isinstance(block, (Seq, AndBlock)):
         if any(c is None for c in children):
@@ -323,18 +302,17 @@ def _erase_block(block: ProcessBlock,
     return Xor(kept) if kept else None
 
 
-def erase(m: Model, dead) -> Survives | RootRemoved:
+def erase(m: Model, dead) -> Model | None:
     """Remove tasks; sequence and parallel parents go with them, choices
     lose just the branch.  The surviving model's runs are exactly the
-    original runs that avoid every removed task."""
+    original runs that avoid every removed task; None if no run avoids
+    them, and m itself if nothing is removed."""
     dead_ids = frozenset(t.id if isinstance(t, Task) else t for t in dead)
     unknown = dead_ids - {t.id for t in m.tasks()}
     if unknown:
         raise ValueError(f"not tasks of the model: {sorted(unknown)}")
     if not dead_ids:
-        return Survives(m)
+        return m
     # a dead start or end erases the root; validate collapses one-child xors
     root = _erase_block(m.root, dead_ids)
-    if root is None:
-        return ROOT_REMOVED
-    return Survives(validate(root.children[1], name=m.name))
+    return None if root is None else validate(root.children[1], name=m.name)

@@ -4,7 +4,8 @@ A model file stores the block tree the user authored; the reserved
 start/end wrapper is re-created on load, so load(dump(m)) rebuilds an
 equal model.  Rule files hold formula strings in the parser's syntax, a
 null trigger/deadline pair meaning the rule is in force globally.  Field
-types are checked on load, so a malformed file raises FileFormatError
+types and keys are checked on load (a key the format does not define, or
+one given twice, is refused), so a malformed file raises FileFormatError
 rather than an error from deep inside the constructors.  Block trees may
 nest at most ``process.MAX_DEPTH`` blocks deep; the reader stops at that
 depth with ``process.ModelTooDeep``, as ``validate`` does.
@@ -19,8 +20,7 @@ from .formula import (InconsistentInput, State, format_formula,
                       parse_formula)
 from .obligations import Kind, Obligation, RuleSet
 from .process import (MAX_DEPTH, AndBlock, InconsistentAnnotation, Model,
-                      ModelTooDeep, ProcessBlock, Seq, Task, TaskBlock, Xor,
-                      validate)
+                      ModelTooDeep, ProcessBlock, Seq, Task, Xor, validate)
 
 
 class FileFormatError(ValueError):
@@ -33,24 +33,35 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _object(obj, known: tuple[str, ...], where: str) -> dict:
+    """obj, if it is an object with no key but the ``known`` ones."""
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{where}: expected an object, got {obj!r}")
+    for key in obj:
+        if key not in known:
+            raise FileFormatError(f"{where}: unknown key {key!r}")
+    return obj
+
+
 def _block_to_dict(block: ProcessBlock) -> dict:
-    if isinstance(block, TaskBlock):
-        return {"type": "task", "id": block.task.id,
-                "ann": [str(l) for l in block.task.annotation.sorted_literals()]}
+    if isinstance(block, Task):
+        return {"type": "task", "id": block.id,
+                "ann": [str(l) for l in block.annotation.sorted_literals()]}
     tag = {Seq: "seq", Xor: "xor", AndBlock: "and"}[type(block)]
     return {"type": tag,
             "children": [_block_to_dict(c) for c in block.children]}
 
 
-def _block_from_dict(obj, depth: int = 1) -> ProcessBlock:
+def _block_from_dict(obj, where: str = "root", depth: int = 1) -> ProcessBlock:
     if depth > MAX_DEPTH:
         raise ModelTooDeep(f"block tree nests more than {MAX_DEPTH} deep")
     if not isinstance(obj, dict) or "type" not in obj:
-        raise FileFormatError(f"expected a block object, got {obj!r}")
+        raise FileFormatError(f"{where}: expected a block object, got {obj!r}")
     kind = obj["type"]
     if kind == "task":
+        _object(obj, ("type", "id", "ann"), where)
         if "id" not in obj:
-            raise FileFormatError("task block without an id")
+            raise FileFormatError(f"{where}: task block without an id")
         tid, ann = obj["id"], obj.get("ann", [])
         if not isinstance(tid, str):
             raise FileFormatError(f"task id must be a string, got {tid!r}")
@@ -62,15 +73,17 @@ def _block_from_dict(obj, depth: int = 1) -> ProcessBlock:
             state = State.of(*ann)
         except InconsistentInput as err:
             raise InconsistentAnnotation(f"task {tid!r}: {err}") from err
-        return TaskBlock(Task(tid, state))
+        return Task(tid, state)
     try:
         ctor = {"seq": Seq, "xor": Xor, "and": AndBlock}[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable type value
         raise FileFormatError(f"unknown block type {kind!r}") from None
+    _object(obj, ("type", "children"), where)
     children = obj.get("children", [])
     if not isinstance(children, list):
-        raise FileFormatError("children must be a list")
-    return ctor(tuple(_block_from_dict(c, depth + 1) for c in children))
+        raise FileFormatError(f"{where}: children must be a list")
+    return ctor(tuple(_block_from_dict(c, f"{where}.children[{k}]", depth + 1)
+                      for k, c in enumerate(children)))
 
 
 def model_to_dict(m: Model) -> dict:
@@ -78,15 +91,28 @@ def model_to_dict(m: Model) -> dict:
 
 
 def model_from_dict(obj) -> Model:
-    if not isinstance(obj, dict) or "root" not in obj:
+    if "root" not in _object(obj, ("name", "root"), "model"):
         raise FileFormatError("model file needs a top-level 'root' block")
     return validate(_block_from_dict(obj["root"]),
                     name=_string(obj.get("name", "model"), "model name"))
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise FileFormatError(f"duplicate key {key!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(path):
     try:
-        return json.loads(Path(path).read_text("utf-8"))
+        return _DECODER.decode(Path(path).read_text("utf-8"))
+    except FileFormatError as err:
+        raise FileFormatError(f"{path}: {err}") from None
     except RecursionError:
         raise ModelTooDeep(
             f"{path}: JSON nests more than {MAX_DEPTH} deep") from None
@@ -110,9 +136,8 @@ def _obligation_to_dict(o: Obligation) -> dict:
     }
 
 
-def _obligation_from_dict(obj) -> Obligation:
-    if not isinstance(obj, dict):
-        raise FileFormatError(f"expected an obligation object, got {obj!r}")
+def _obligation_from_dict(obj, where: str) -> Obligation:
+    _object(obj, ("kind", "requirement", "trigger", "deadline"), where)
     try:
         kind = Kind(_string(obj["kind"], "kind"))
         requirement = parse_formula(_string(obj["requirement"],
@@ -122,7 +147,7 @@ def _obligation_from_dict(obj) -> Obligation:
             else parse_formula(_string(obj[key], key))
             for key in ("trigger", "deadline"))
     except KeyError as err:
-        raise FileFormatError(f"obligation without {err}") from None
+        raise FileFormatError(f"{where}: obligation without {err}") from None
     except ValueError as err:
         raise FileFormatError(str(err)) from err
     return Obligation(kind, requirement, trigger, deadline)
@@ -133,12 +158,13 @@ def rules_to_dict(rs: RuleSet) -> dict:
 
 
 def rules_from_dict(obj) -> RuleSet:
-    if not isinstance(obj, dict) or "obligations" not in obj:
+    if "obligations" not in _object(obj, ("obligations",), "rules"):
         raise FileFormatError("rules file needs an 'obligations' array")
     obligations = obj["obligations"]
     if not isinstance(obligations, list):
         raise FileFormatError("obligations must be a list")
-    return RuleSet(tuple(_obligation_from_dict(o) for o in obligations))
+    return RuleSet(tuple(_obligation_from_dict(o, f"obligations[{k}]")
+                         for k, o in enumerate(obligations)))
 
 
 def load_rules(path) -> RuleSet:

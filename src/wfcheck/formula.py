@@ -45,63 +45,53 @@ class InconsistentInput(ValueError):
     """A literal set contains some literal together with its negation."""
 
 
+class _Printed:
+    """A formula prints as ``format_formula`` writes it."""
+
+    def __str__(self):
+        return format_formula(self)
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Printed):
     name: str
 
     def __post_init__(self):
         if not ATOM_PATTERN.fullmatch(self.name) or self.name in _KEYWORDS:
             raise ValueError(f"bad atom name: {self.name!r}")
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Printed):
     operand: "Formula"
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
-class And:
+class And(_Printed):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Printed):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Printed):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self):
-        return format_formula(self)
+
+@dataclass(frozen=True)
+class TrueConst(_Printed):
+    pass
 
 
 @dataclass(frozen=True)
-class TrueConst:
-    def __str__(self):
-        return "true"
-
-
-@dataclass(frozen=True)
-class FalseConst:
-    def __str__(self):
-        return "false"
+class FalseConst(_Printed):
+    pass
 
 
 TRUE = TrueConst()
@@ -217,13 +207,6 @@ class State:
         return cls(parse_literal(l) if isinstance(l, str) else l
                    for l in literals)
 
-    @property
-    def literals(self) -> frozenset[Literal]:
-        return frozenset(self)
-
-    def holds(self, lit: Literal) -> bool:
-        return lit in self
-
     def atoms(self) -> frozenset[str]:
         return frozenset(_PAIRS[i][0].atom
                          for i in _indices(self.pos | self.neg))
@@ -305,17 +288,11 @@ class Interpretation:
     def of(cls, mapping: Mapping[str, bool]) -> "Interpretation":
         return cls(tuple(sorted(mapping.items())))
 
-    def as_dict(self) -> dict[str, bool]:
-        return dict(self.assignment)
-
     def value(self, atom: str) -> bool:
         for name, val in self.assignment:
             if name == atom:
                 return val
         raise MissingAtom(atom)
-
-    def universe(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 from .formula import And, Formula, Literal, Or, State
 from .obligations import Kind, Obligation, RuleSet, VariantTag, classify_variant
-from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
-                      Xor, validate)
+from .process import AndBlock, Model, ProcessBlock, Seq, Task, Xor, validate
 
 # Parallel blocks stay small so interleaving counts cannot explode past
 # the engines' enumeration caps on instances of the advertised sizes.
@@ -38,11 +37,11 @@ class GeneratorConfig:
             raise ValueError("atom_pool must be between 1 and 26")
 
 
-def _task(rng: random.Random, atoms: list[str], ids) -> TaskBlock:
+def _task(rng: random.Random, atoms: list[str], ids) -> Task:
     k = rng.randint(0, min(2, len(atoms)))
     literals = [Literal(a, rng.random() < 0.5)
                 for a in rng.sample(atoms, k)]
-    return TaskBlock(Task(f"t{next(ids)}", State.of(*literals)))
+    return Task(f"t{next(ids)}", State.of(*literals))
 
 
 def _split(rng: random.Random, budget: int, parts: int) -> list[int]:

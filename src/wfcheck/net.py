@@ -31,8 +31,8 @@ from itertools import count as _count
 from typing import Any, Callable, Iterator
 
 from .formula import EMPTY_STATE, State, update
-from .process import (AndBlock, Model, ProcessBlock, Seq, Task, TaskBlock,
-                      Xor, count_executions, frontier)
+from .process import (AndBlock, Model, ProcessBlock, Seq, Task, Xor,
+                      count_executions, frontier)
 
 SOURCE_PLACE = "i"
 SINK_PLACE = "o"
@@ -152,8 +152,8 @@ def compile_to_net(model: Model) -> WFNet:
             silent.add(task.id)
 
     def build(block: ProcessBlock, entry: str, exit: str):
-        if isinstance(block, TaskBlock):
-            emit(block.task, [entry], [exit])
+        if isinstance(block, Task):
+            emit(block, [entry], [exit])
         elif isinstance(block, Seq):
             current = entry
             for child in block.children[:-1]:

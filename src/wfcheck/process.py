@@ -1,6 +1,6 @@
 """Block-structured acyclic process models.
 
-A model is a tree of task leaves under seq / xor / and composites.  Every
+A model is a tree of ``Task`` leaves under seq / xor / and composites.  Every
 task occurs at most once per run, composites have at least two children
 after normalisation, and validation wraps the tree between the unannotated
 boundary tasks ``start`` and ``end``.  Blocks may nest at most MAX_DEPTH
@@ -55,11 +55,6 @@ class Task:
         return self.id
 
 
-@dataclass(frozen=True)
-class TaskBlock:
-    task: Task
-
-
 class Composite:
     """Structural ==, hash and repr for the composite blocks, written with
     an explicit stack, so that a tree MAX_DEPTH deep needs no recursion."""
@@ -70,8 +65,8 @@ class Composite:
         shape, todo = [], [self]
         while todo:
             block = todo.pop()
-            if isinstance(block, TaskBlock):
-                shape.append(block.task)
+            if isinstance(block, Task):
+                shape.append(block)
             else:
                 shape.append((type(block), len(block.children)))
                 todo.extend(reversed(block.children))
@@ -115,12 +110,12 @@ class AndBlock(Composite):
     children: tuple["ProcessBlock", ...]
 
 
-ProcessBlock = Union[TaskBlock, Seq, Xor, AndBlock]
+ProcessBlock = Union[Task, Seq, Xor, AndBlock]
 
 
-def task(id: str, *literals) -> TaskBlock:
+def task(id: str, *literals) -> Task:
     """Shorthand for a task leaf; literals given as "a" / "-a" strings."""
-    return TaskBlock(Task(id, State.of(*literals)))
+    return Task(id, State.of(*literals))
 
 
 def seq(*children: ProcessBlock) -> Seq:
@@ -156,15 +151,15 @@ def iter_tasks(block: ProcessBlock) -> Iterator[Task]:
     todo = [block]
     while todo:
         block = todo.pop()
-        if isinstance(block, TaskBlock):
-            yield block.task
+        if isinstance(block, Task):
+            yield block
         else:
             todo.extend(reversed(block.children))
 
 
 def _normalise(block: ProcessBlock) -> ProcessBlock:
     """Collapse one-child composites; reject empty ones."""
-    if isinstance(block, TaskBlock):
+    if isinstance(block, Task):
         return block
     if not isinstance(block, Composite):
         raise TypeError(f"not a process block: {block!r}")
@@ -192,7 +187,7 @@ def validate(root: ProcessBlock, name: str = "model") -> Model:
     """Check a block tree and wrap it between start and end."""
     _check_depth(root)
     body = _normalise(root)
-    wrapped = Seq((TaskBlock(Task(START_ID)), body, TaskBlock(Task(END_ID))))
+    wrapped = Seq((Task(START_ID), body, Task(END_ID)))
     seen: set[str] = set()
     for t in iter_tasks(wrapped):
         if not TASK_ID_PATTERN.fullmatch(t.id):
@@ -217,7 +212,7 @@ def _length_counts(block: ProcessBlock) -> dict[int, int]:
     Each child's table is computed once, so counting a tree makes one
     call per block.  Seq and AndBlock convolve their children's tables;
     an and-block also counts the shuffles of each pair of runs."""
-    if isinstance(block, TaskBlock):
+    if isinstance(block, Task):
         return {1: 1}
     if not isinstance(block, Composite):
         raise TypeError(f"not a process block: {block!r}")
@@ -284,8 +279,8 @@ def _moved(kind: type, before: tuple, after: ProcessBlock,
 
 
 def _frontier(r: ProcessBlock) -> list[Move]:
-    if isinstance(r, TaskBlock):
-        return [(r.task, DONE)]
+    if isinstance(r, Task):
+        return [(r, DONE)]
     if isinstance(r, Seq):
         rest = r.children[1:]
         return [(t, _moved(Seq, (), after, rest))

@@ -20,7 +20,7 @@ from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, SatCache,
                                  VariantTag, eval_obligation, monitor,
                                  monitor_complies)
-from wfcheck.process import TaskBlock, seq, task, validate, xor
+from wfcheck.process import seq, task, validate, xor
 from wfcheck.reduction import build_interpretation_model
 
 ROW1 = make_trace(("t1", "a"), ("t3", "c", "d"), ("t4", "-a"))
@@ -227,7 +227,7 @@ def monitor_verdict(tr, o, strict):
 def fast_monitor_verdict(tr, o):
     """Step o's monitor along a trace on the fast engine's two truth bits,
     and read it at the end."""
-    m = validate(seq(*map(TaskBlock, tr.tasks()[1:-1])))
+    m = validate(seq(*tr.tasks()[1:-1]))
     _, masks = fastpath._scan_tasks(m, o)
     (carry,) = fastpath._endings(m, o, trace_trigger_ids(tr, o, eval_formula),
                                  masks, DEFAULT_CAP)

@@ -144,7 +144,7 @@ class TestModelFiles:
         assert run_check(m, rules, "partial", engine="fast").verdict
         dump_model(m, path)
         assert load_model(path) == m
-        assert repr(m).count("TaskBlock(") == len(m.tasks())
+        assert repr(m).count("Task(") == len(m.tasks())
         limit = [] if full else ["--limit", "1"]
         assert main(["enumerate", "--model", str(path), *limit]) == 0
         rows = capsys.readouterr().out.splitlines()
@@ -417,8 +417,41 @@ class TestCli:
                                  "trigger": ["a"], "deadline": "b"}]},
          "trigger"),
         (None, {"obligations": 5}, "obligations"),
+        (None, {"obligations": [{"requirement": "a", "trigger": None,
+                                 "deadline": None}]},
+         "obligations[0]: obligation without 'kind'"),
+        # a key the format does not define, one per field, names itself
+        ({"nme": "m", "root": task_dict("t1")}, None,
+         "model: unknown key 'nme'"),
+        ({"rot": task_dict("t1")}, None, "model: unknown key 'rot'"),
+        ({"root": {"typ": "task", "id": "t1"}}, None,
+         "root: expected a block object, got {'typ': 'task', 'id': 't1'}"),
+        ({"root": {"type": "task", "idd": "t1"}}, None,
+         "root: unknown key 'idd'"),
+        ({"root": {"type": "seq", "children": [
+            task_dict("t1"), {"type": "task", "id": "t2",
+                              "annotation": ["a"]}]}}, None,
+         "root.children[1]: unknown key 'annotation'"),
+        ({"root": {"type": "xor", "childs": [task_dict("t1")]}}, None,
+         "root: unknown key 'childs'"),
+        (None, {"obligation": []}, "rules: unknown key 'obligation'"),
+        (None, {"obligations": [{"knd": "maintenance", "requirement": "b"}]},
+         "obligations[0]: unknown key 'knd'"),
+        (None, {"obligations": [{"kind": "maintenance", "requirment": "b"}]},
+         "obligations[0]: unknown key 'requirment'"),
+        (None, {"obligations": [{"kind": "maintenance", "requirement": "b"},
+                                {"kind": "achievement", "requirement": "b",
+                                 "triger": "a", "deadline": "d"}]},
+         "obligations[1]: unknown key 'triger'"),
+        (None, {"obligations": [{"kind": "achievement", "requirement": "b",
+                                 "trigger": "a", "dedline": "d"}]},
+         "obligations[0]: unknown key 'dedline'"),
     ], ids=["ann-string", "ann-number", "id-number", "name-number",
-            "requirement-number", "trigger-list", "obligations-number"])
+            "requirement-number", "trigger-list", "obligations-number",
+            "kind-missing", "name-unknown", "root-unknown", "type-unknown",
+            "id-unknown", "ann-unknown", "children-unknown",
+            "obligations-unknown", "kind-unknown", "requirement-unknown",
+            "trigger-unknown", "deadline-unknown"])
     def test_mistyped_fields_exit_two(self, tmp_path, capsys, model, rules,
                                       field):
         model_path, rules_path = GOLDEN_MODEL, GOLDEN_RULES
@@ -433,6 +466,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("option, text", [
+        ("--model", '{"root": {"type": "task", "id": "b", "id": "c"}}'),
+        ("--rules", '{"obligations": [{"kind": "maintenance", '
+                    '"requirement": "a", "requirement": "b"}]}'),
+    ], ids=["model", "rules"])
+    def test_duplicate_keys_exit_two_by_name(self, tmp_path, capsys, option,
+                                             text):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        files = {"--model": str(GOLDEN_MODEL), "--rules": str(GOLDEN_RULES),
+                 option: str(path)}
+        code = main(["check", *itertools.chain(*files.items()),
+                     "--mode", "full"])
+        key = "id" if option == "--model" else "requirement"
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: duplicate key {key!r}\n")
 
     def test_long_sequence_needs_no_deep_recursion(self, tmp_path, capsys):
         model = tmp_path / "long.model.json"
@@ -630,6 +681,18 @@ class TestBench:
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_HEADER)
         assert len(rows) == 4 and all(len(r) == 6 for r in rows)
+
+    def test_cli_writes_the_suite_to_csv(self, tmp_path, capsys):
+        out = tmp_path / "fast.csv"
+        assert main(["bench", "--suite", "fastpath", "--n-min", "2",
+                     "--n-max", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 4 records to {out}\n"
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(CSV_HEADER)
+        assert [row[:2] for row in rows[1:]] == [
+            ["fastpath-n2", "brute"], ["fastpath-n2", "fast"],
+            ["fastpath-n3", "brute"], ["fastpath-n3", "fast"]]
 
     def test_fastpath_suite_pairs_engines(self):
         records = run_bench("fastpath", 2, 4)

@@ -14,8 +14,8 @@ from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, Marking,
                          fire, replay)
 from wfcheck.process import (DONE, AndBlock, DuplicateTaskId, EmptyBlock,
                              MAX_DEPTH, InconsistentAnnotation, InvalidTaskId,
-                             Seq, Task, TaskBlock, and_, count_executions,
-                             frontier, iter_tasks, seq, task, validate, xor)
+                             Seq, Task, and_, count_executions, frontier,
+                             iter_tasks, seq, task, validate, xor)
 
 # The running example: four runs, with the states each one accumulates.
 EXPECTED_RUNS = [
@@ -65,15 +65,15 @@ class TestValidate:
             validate(task("__fork1"))
 
     def test_non_state_annotation_rejected(self):
-        leaf = TaskBlock(Task("t1", frozenset()))
+        leaf = Task("t1", frozenset())
         with pytest.raises(InconsistentAnnotation):
             validate(leaf)
 
 
 def recursive_tasks(block):
     """The task leaves in declaration order, by plain recursion."""
-    if isinstance(block, TaskBlock):
-        return [block.task]
+    if isinstance(block, Task):
+        return [block]
     return [t for child in block.children for t in recursive_tasks(child)]
 
 
@@ -211,8 +211,8 @@ class TestFoldedTraces:
 
 def structural_runs(block):
     """Every run of a block as task ids, listed from the block tree."""
-    if isinstance(block, TaskBlock):
-        return {(block.task.id,)}
+    if isinstance(block, Task):
+        return {(block.id,)}
     child_runs = [structural_runs(c) for c in block.children]
     if isinstance(block, Seq):
         return {sum(parts, ()) for parts in itertools.product(*child_runs)}
@@ -350,7 +350,7 @@ class TestCount:
         assume(count_executions(m.root) <= 500)
 
         def composites(block):
-            if not isinstance(block, TaskBlock):
+            if not isinstance(block, Task):
                 yield block
                 for child in block.children:
                     yield from composites(child)
