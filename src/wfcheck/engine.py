@@ -21,9 +21,10 @@ with ``count_executions``, so examined counts and witnesses stay exact.
 Only the reported run is built into a ``Trace``.  ``trace_complies`` over
 ``eval_obligation`` is the reference the monitors must agree with.
 
-The scan runs in the calling thread.  ``jobs`` is accepted and ignored:
-threads gave no speedup on this CPU-bound scan, since the interpreter lock
-serialises it, and prefetching chunks for them slowed early exits.
+The scan runs in the calling thread.  ``run_check`` accepts ``jobs`` and
+ignores it, for callers that pass it: threads gave no speedup on this
+CPU-bound scan, since the interpreter lock serialises it, and prefetching
+chunks for them slowed early exits.
 """
 from __future__ import annotations
 
@@ -115,22 +116,19 @@ def _report(mode: str, model: Model, rules: RuleSet, cap: int,
         traces_examined=examined)
 
 
-def check_full(model: Model, rules: RuleSet, jobs: int = 1,
-               cap: int = DEFAULT_CAP,
+def check_full(model: Model, rules: RuleSet, cap: int = DEFAULT_CAP,
                strict_deadline: bool = False) -> ComplianceReport:
     """Every trace complies; a violating trace is reported otherwise."""
     return _report("full", model, rules, cap, strict_deadline)
 
 
-def check_partial(model: Model, rules: RuleSet, jobs: int = 1,
-                  cap: int = DEFAULT_CAP,
+def check_partial(model: Model, rules: RuleSet, cap: int = DEFAULT_CAP,
                   strict_deadline: bool = False) -> ComplianceReport:
     """Some trace complies; the first such trace is the witness."""
     return _report("partial", model, rules, cap, strict_deadline)
 
 
-def check_non(model: Model, rules: RuleSet, jobs: int = 1,
-              cap: int = DEFAULT_CAP,
+def check_non(model: Model, rules: RuleSet, cap: int = DEFAULT_CAP,
               strict_deadline: bool = False) -> ComplianceReport:
     """No trace complies; a complying trace refutes this."""
     return _report("non", model, rules, cap, strict_deadline)

@@ -10,9 +10,10 @@ one that is no trigger and leaves both bits alone, leaves every carry as
 it is, so the fold passes over it.  Parallel blocks have no cheap
 composition, so they are searched, without their quiet tasks, over
 (residual, carry) pairs, each expanded once, with the shared step
-``process.frontier``.  The search is refused when it explores more pairs
-than a cap, so its budget follows its cost, not the block's run count;
-choice-heavy models — where brute force blows up — stay polynomial.
+``process.frontier``, which builds each distinct residual of one search
+once.  The search is refused when it explores more pairs than a cap, so
+its budget follows its cost, not the block's run count; choice-heavy
+models — where brute force blows up — stay polynomial.
 
 Every query steps that monitor for a set of trigger tasks.  With every
 trigger task in the set, the carries that runs end in decide partial and
@@ -55,10 +56,11 @@ class TriggerAnalysis:
 
 
 def require_single_local_literal(rs: RuleSet) -> Obligation:
-    tag = classify_variant(rs)
-    if str(tag) != "1L-":
-        raise WrongVariant(str(tag))
-    return rs.obligations[0]
+    """The obligation of a 1L- rule set; WrongVariant names any other."""
+    o = rs.obligations[0]
+    if len(rs.obligations) == 1 and not o.is_global and o.literal_fields():
+        return o
+    raise WrongVariant(str(classify_variant(rs)))
 
 
 def trigger_transitions(m: Model, o: Obligation) -> list[Task]:
@@ -132,33 +134,20 @@ def _and_reach(block: AndBlock, states: frozenset[Carry],
     (residual, carry) pairs from every incoming carry at once.
 
     Interleavings that reach the same pair share everything after it, so
-    each pair is expanded once.  Each distinct residual is interned to one
-    object, its children first, so pairs hash and compare by identity,
-    never by walking residual trees.  More than ``cap`` pairs is refused."""
-    table: dict[tuple, ProcessBlock] = {}  # (type, child ids) -> residual
-    interned: set[int] = set()  # ids of the residuals table holds
+    each pair is expanded once.  ``frontier`` looks each residual up in the
+    search's table, so a distinct residual is one object, pairs hash and
+    compare by identity, and each residual's moves are built once.  More
+    than ``cap`` pairs is refused."""
+    built: dict[tuple, ProcessBlock] = {}  # residuals, for ``frontier``
     moves: dict[int, list] = {}  # residual id -> [(task, residual after)]
-
-    def intern(r: ProcessBlock) -> ProcessBlock:
-        if isinstance(r, (Task, Xor)) or id(r) in interned:
-            return r  # never rebuilt by a move: one object each
-        key = (type(r), *[id(intern(c)) for c in r.children])
-        got = table.get(key)
-        if got is None:  # the first of its shape stands for all of them
-            got = table[key] = r
-            interned.add(id(r))
-        return got
-
-    root = intern(block)
-    seen = {(id(root), s) for s in states}
-    todo = [(root, s) for s in states]
+    seen = {(id(block), s) for s in states}
+    todo = [(block, s) for s in states]
     ends: set[Carry] = set()
     while todo:
         r, s = todo.pop()
         out = moves.get(id(r))
         if out is None:
-            out = moves[id(r)] = [(t, intern(after))
-                                  for t, after in frontier(r)]
+            out = moves[id(r)] = frontier(r, built)
         for t, after in out:
             carry = step(s, t)
             if after is DONE:

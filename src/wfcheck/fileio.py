@@ -33,6 +33,10 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _object(obj, known: tuple[str, ...], where: str) -> dict:
     """obj, if it is an object with no key but the ``known`` ones."""
     if not isinstance(obj, dict):
@@ -64,9 +68,9 @@ def _block_from_dict(obj, where: str = "root", depth: int = 1) -> ProcessBlock:
             raise FileFormatError(f"{where}: task block without an id")
         tid, ann = obj["id"], obj.get("ann", [])
         if not isinstance(tid, str):
-            raise FileFormatError(f"task id must be a string, got {tid!r}")
-        if not (isinstance(ann, list)
-                and all(isinstance(lit, str) for lit in ann)):
+            raise FileFormatError(
+                f"{where}: task id must be a string, got {tid!r}")
+        if not _strings(ann):
             raise FileFormatError(f"task {tid!r}: ann must be a list of "
                                   f"strings, got {ann!r}")
         try:
@@ -77,7 +81,8 @@ def _block_from_dict(obj, where: str = "root", depth: int = 1) -> ProcessBlock:
     try:
         ctor = {"seq": Seq, "xor": Xor, "and": AndBlock}[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable type value
-        raise FileFormatError(f"unknown block type {kind!r}") from None
+        raise FileFormatError(
+            f"{where}: unknown block type {kind!r}") from None
     _object(obj, ("type", "children"), where)
     children = obj.get("children", [])
     if not isinstance(children, list):
@@ -187,8 +192,17 @@ def _witness_to_dict(w: Witness | None):
 def _witness_from_dict(obj) -> Witness | None:
     if obj is None:
         return None
-    return Witness(tuple(obj["execution"]),
-                   tuple(State.of(*lits) for lits in obj["states"]))
+    _object(obj, ("execution", "states"), "witness")
+    execution, states = obj.get("execution"), obj.get("states")
+    if not (_strings(execution) and isinstance(states, list)
+            and all(map(_strings, states))):
+        raise FileFormatError("witness: execution must be a list of strings "
+                              "and states a list of literal lists")
+    try:
+        return Witness(tuple(execution),
+                       tuple(State.of(*lits) for lits in states))
+    except ValueError as err:  # a bad atom, or an atom and its negation
+        raise FileFormatError(f"witness: {err}") from err
 
 
 def report_to_dict(report: ComplianceReport) -> dict:
@@ -199,13 +213,16 @@ def report_to_dict(report: ComplianceReport) -> dict:
 
 
 def report_from_dict(obj) -> ComplianceReport:
-    if not isinstance(obj, dict):
-        raise FileFormatError("expected a report object")
-    return ComplianceReport(
-        mode=obj["mode"], verdict=obj["verdict"],
-        witness=_witness_from_dict(obj.get("witness")),
-        traces_examined=obj["traces_examined"],
-        engine=obj.get("engine", "brute"))
+    obj = {"witness": None, "engine": "brute", **_object(
+        obj, ("mode", "verdict", "witness", "traces_examined", "engine"),
+        "report")}
+    for key, kind in (("mode", str), ("verdict", bool),
+                      ("traces_examined", int), ("engine", str)):
+        if not isinstance(obj.get(key), kind):
+            raise FileFormatError(
+                f"report: {key!r} must be of type {kind.__name__}")
+    obj["witness"] = _witness_from_dict(obj["witness"])
+    return ComplianceReport(**obj)
 
 
 def format_report(report: ComplianceReport) -> str:

@@ -22,8 +22,6 @@ from typing import Iterable, Iterator, Mapping, Union
 
 ATOM_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-_KEYWORDS = ("true", "false")
-
 
 class FormulaSyntaxError(ValueError):
     """Raised by parse_formula; carries the byte offset of the bad token."""
@@ -96,6 +94,7 @@ class FalseConst(_Printed):
 
 TRUE = TrueConst()
 FALSE = FalseConst()
+_KEYWORDS = {"true": TRUE, "false": FALSE}  # no atom is named by these
 
 Formula = Union[Atom, Not, And, Or, Implies, TrueConst, FalseConst]
 
@@ -308,10 +307,17 @@ _TOKEN_RE = re.compile(r"\s*(?:(->)|([!&|()])|([A-Za-z_][A-Za-z0-9_]*))")
 # default recursion limit.
 MAX_FORMULA_DEPTH = 100
 
+# How tightly each operator binds; the parser and the printer both read it.
+_PREC = {Implies: 0, Or: 1, And: 2, Not: 3}
+_BINARY = {"->": Implies, "|": Or, "&": And}
+_TEXT = {op: f" {tok} " for tok, op in _BINARY.items()}
+
 
 class _Parser:
-    """Recursive descent; each rule returns a formula and its height, the
-    operators on its longest path."""
+    """Precedence climbing: ``binary`` reads the binary operators by
+    ``_PREC``, the table the printer reads too, and ``unary`` the rest.
+    Each returns a formula and its height, the operators on its longest
+    path."""
 
     def __init__(self, text: str):
         self.text = text
@@ -365,43 +371,33 @@ class _Parser:
             f"formula nests more than {MAX_FORMULA_DEPTH} deep",
             _byte_offset(self.text, self.tokens[at][1]))
 
-    def nested(self, rule) -> tuple[Formula, int]:
-        """Take an operator or bracket, then parse by ``rule`` one level
-        further in; the nesting is checked before the recursion."""
+    def nested(self, rule, *args) -> tuple[Formula, int]:
+        """Take an operator or bracket, then parse by ``rule(*args)`` one
+        level further in; the nesting is checked before the recursion."""
         self.take()
         self.nesting += 1
         if self.nesting > MAX_FORMULA_DEPTH:
             raise self.too_deep(self.index - 1)
-        out = rule()
+        out = rule(*args)
         self.nesting -= 1
         return out
 
-    def implication(self) -> tuple[Formula, int]:
-        left, height = self.disjunction()
-        if self.peek() == "->":
-            at = self.index
-            right, right_height = self.nested(self.implication)
-            return self.checked(Implies(left, right),
-                                1 + max(height, right_height), at)
-        return left, height
-
-    def disjunction(self) -> tuple[Formula, int]:
-        f, height = self.conjunction()
-        while self.peek() == "|":
-            at = self.index
-            self.take()
-            g, g_height = self.conjunction()
-            f, height = self.checked(Or(f, g), 1 + max(height, g_height), at)
-        return f, height
-
-    def conjunction(self) -> tuple[Formula, int]:
+    def binary(self, least: int = 0) -> tuple[Formula, int]:
+        """A formula whose binary operators bind at least as tight as
+        ``least``, by ``_PREC``: ``&`` and ``|`` group to the left, ``->``
+        to the right, one nesting level further in."""
         f, height = self.unary()
-        while self.peek() == "&":
+        while True:
+            op = _BINARY.get(self.peek())
+            if op is None or _PREC[op] < least:
+                return f, height
             at = self.index
-            self.take()
-            g, g_height = self.unary()
-            f, height = self.checked(And(f, g), 1 + max(height, g_height), at)
-        return f, height
+            if op is Implies:
+                g, g_height = self.nested(self.binary, _PREC[op])
+            else:
+                self.take()
+                g, g_height = self.binary(_PREC[op] + 1)
+            f, height = self.checked(op(f, g), 1 + max(height, g_height), at)
 
     def unary(self) -> tuple[Formula, int]:
         tok = self.peek()
@@ -412,15 +408,12 @@ class _Parser:
             f, height = self.nested(self.unary)
             return self.checked(Not(f), height + 1, at)
         if tok == "(":
-            out = self.nested(self.implication)
+            out = self.nested(self.binary)
             self.expect(")")
             return out
-        if tok == "true":
+        if tok in _KEYWORDS:
             self.take()
-            return TRUE, 0
-        if tok == "false":
-            self.take()
-            return FALSE, 0
+            return _KEYWORDS[tok], 0
         if ATOM_PATTERN.fullmatch(tok):
             self.take()
             return Atom(tok), 0
@@ -434,14 +427,11 @@ def _byte_offset(text: str, index: int) -> int:
 def parse_formula(text: str) -> Formula:
     """Parse "!a & (b | c) -> d"; ! binds tightest, -> is right-associative."""
     parser = _Parser(text)
-    f, _ = parser.implication()
+    f, _ = parser.binary()
     if parser.peek() is not None:
         raise FormulaSyntaxError(f"trailing input {parser.peek()!r}",
                                  parser.offset())
     return f
-
-
-_PREC = {Implies: 0, Or: 1, And: 2, Not: 3}
 
 
 def format_formula(f: Formula) -> str:
@@ -456,17 +446,13 @@ def _format(f: Formula, parent: int) -> str:
         return "true"
     if isinstance(f, FalseConst):
         return "false"
+    prec = _PREC[type(f)]
     if isinstance(f, Not):
-        text = "!" + _format(f.operand, _PREC[Not])
-        prec = _PREC[Not]
-    elif isinstance(f, Implies):
-        text = _format(f.left, _PREC[Implies] + 1) + " -> " + _format(
-            f.right, _PREC[Implies])
-        prec = _PREC[Implies]
-    else:
-        op = " | " if isinstance(f, Or) else " & "
-        prec = _PREC[type(f)]
-        text = _format(f.left, prec) + op + _format(f.right, prec + 1)
+        text = "!" + _format(f.operand, prec)
+    else:  # -> groups to the right, & and | to the left
+        up = prec + 1
+        left, right = (up, prec) if isinstance(f, Implies) else (prec, up)
+        text = _format(f.left, left) + _TEXT[type(f)] + _format(f.right, right)
     if prec < parent:
         return "(" + text + ")"
     return text

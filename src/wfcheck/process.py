@@ -252,44 +252,53 @@ def count_executions(block: ProcessBlock) -> int:
 # DONE, the and-block with no branch left, is a finished residual.  So
 # residuals are purely structural, and count_executions counts their
 # completions.  Every block of a model runs at least one task, so the
-# frontier of a Seq is the frontier of its first child.
+# frontier of a Seq is the frontier of its first child.  Given a search's
+# table ``built``, a move looks each Seq or AndBlock residual it builds up
+# by its kind and its children's ids, so each distinct residual is one
+# object, which the search can key by its id.
 
 DONE = AndBlock(())
 
 Move = tuple[Task, ProcessBlock]
 
 
-def frontier(residual: ProcessBlock) -> list[Move]:
+def frontier(residual: ProcessBlock, built: dict | None = None
+             ) -> list[Move]:
     """The tasks that can fire next, ordered by task id, each with the
-    residual left after it."""
-    moves = _frontier(residual)
+    residual left after it, looked up in ``built`` if given."""
+    moves = _frontier(residual, built)
     moves.sort(key=lambda move: move[0].id)
     return moves
 
 
-def _moved(kind: type, before: tuple, after: ProcessBlock,
-           rest: tuple) -> ProcessBlock:
+def _moved(kind: type, before: tuple, after: ProcessBlock, rest: tuple,
+           built: dict | None) -> ProcessBlock:
     """What is left of a ``kind`` (Seq or AndBlock) residual once its child
     between ``before`` and ``rest`` has become ``after``: a finished child
     drops out, one child left is that child, and none left is DONE."""
     left = before + rest if after is DONE else before + (after,) + rest
-    if len(left) > 1:
+    if len(left) < 2:
+        return left[0] if left else DONE
+    if built is None:
         return kind(left)
-    return left[0] if left else DONE
+    key = (kind, *map(id, left))
+    return built.get(key) or built.setdefault(key, kind(left))
 
 
-def _frontier(r: ProcessBlock) -> list[Move]:
+def _frontier(r: ProcessBlock, built: dict | None) -> list[Move]:
     if isinstance(r, Task):
         return [(r, DONE)]
     if isinstance(r, Seq):
         rest = r.children[1:]
-        return [(t, _moved(Seq, (), after, rest))
-                for t, after in _frontier(r.children[0])]
+        return [(t, _moved(Seq, (), after, rest, built))
+                for t, after in _frontier(r.children[0], built)]
     if isinstance(r, Xor):
-        return [move for child in r.children for move in _frontier(child)]
+        return [move for child in r.children
+                for move in _frontier(child, built)]
     if isinstance(r, AndBlock):
         children = r.children
-        return [(t, _moved(AndBlock, children[:k], after, children[k + 1:]))
+        return [(t, _moved(AndBlock, children[:k], after, children[k + 1:],
+                           built))
                 for k, child in enumerate(children)
-                for t, after in _frontier(child)]
+                for t, after in _frontier(child, built)]
     raise TypeError(f"not a residual: {r!r}")

@@ -264,7 +264,7 @@ def _render_everything(jobs: int) -> bytes:
     for n in (1, 2, 3):
         instance = build_interpretation_model(_excluded_middle(n))
         chunks.append(format_report(
-            check_full(instance.model, instance.rules, jobs=jobs)))
+            check_full(instance.model, instance.rules)))
         chunks.append(repr(verify_reduction_steps(_excluded_middle(n))))
     for seed in range(20):
         cfg = GeneratorConfig(seed=seed, max_tasks=8, atom_pool=4,

@@ -142,13 +142,6 @@ def test_witnesses_replay_and_exhibit_the_property(m, rs):
         assert trace_complies(tr, rs) == expected
 
 
-@settings(max_examples=20)
-@given(models(max_tasks=6), rule_sets())
-def test_worker_count_does_not_change_reports(m, rs):
-    for checker in (check_full, check_partial, check_non):
-        assert checker(m, rs, jobs=1) == checker(m, rs, jobs=4)
-
-
 def reference_report(m, rs, mode, strict):
     """The scan from scratch: list runs, fold each one, one fresh cache."""
     want = mode != "full"

@@ -387,6 +387,16 @@ def chains_model(length):
     return m, lit_rule("achievement", "b", "a", "d")
 
 
+def toggles_model():
+    """A trigger, then an and-block of seven tasks that each set or clear
+    the requirement, so none is quiet and the search meets each subset of
+    finished branches with each carry."""
+    m = validate(seq(task("x", "a"),
+                     and_(*(task(f"t{k}", "b" if k % 2 else "-b")
+                            for k in range(1, 8)))), name="toggles")
+    return m, lit_rule("achievement", "b", "a", "d")
+
+
 class TestScaling:
     def test_choice_heavy_model_stays_fast(self):
         blocks = [xor(task(f"p{k}", "b"), task(f"n{k}", "-b"))
@@ -400,12 +410,7 @@ class TestScaling:
         assert time.perf_counter() - started < 1.0
 
     def test_and_blocks_are_refused_by_explored_pairs(self):
-        # every task toggles the requirement, so none is quiet and the
-        # search meets each subset of finished branches with each carry
-        m = validate(seq(task("x", "a"),
-                         and_(*(task(f"t{k}", "b" if k % 2 else "-b")
-                                for k in range(1, 8)))), name="toggles")
-        o = lit_rule("achievement", "b", "a", "d")
+        m, o = toggles_model()
         with pytest.raises(ExecutionCapExceeded,
                            match=r"^101 explored \(residual, carry\) pairs "
                                  r"exceed the cap of 100$") as err:
@@ -414,6 +419,16 @@ class TestScaling:
         rs = RuleSet((o,))
         assert partial_compliant_fast(m, o) == check_partial(m, rs).verdict
         assert full_compliant_fast(m, o) == check_full(m, rs).verdict
+
+    def test_equal_residuals_are_one_pair(self):
+        # 127 pairs when each residual the search builds is one object;
+        # equal residuals built by two interleavings would count twice
+        m, o = toggles_model()
+        for query in (partial_compliant_fast, full_compliant_fast):
+            assert query(m, o, and_cap=127)
+            with pytest.raises(ExecutionCapExceeded) as err:
+                query(m, o, and_cap=126)
+            assert err.value.count == 127
 
     def test_quiet_tasks_need_no_budget(self):
         # every task leaves the rule's bits alone, so the quiet tasks are

@@ -115,6 +115,10 @@ PARSE_CASES = [
     "((a))",
     "a | b | c -> d",
     "x1 -> !x2 & _y",
+    "a -> b | c",
+    "a | b -> c & d -> e",
+    "(a -> b) -> c",
+    "a & (b -> c) | d",
 ]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,60 @@ class TestReportFiles:
                            load_rules(GOLDEN_RULES), mode)
         assert report_from_dict(report_to_dict(report)) == report
 
+    @pytest.mark.parametrize("engine", ["brute", "fast"])
+    @pytest.mark.parametrize("mode", ["full", "partial", "non"])
+    def test_round_trip_of_both_engines(self, mode, engine):
+        report = run_check(load_model(GOLDEN_MODEL),
+                           load_rules(GOLDEN_RULES), mode, engine=engine)
+        obj = report_to_dict(report)
+        assert report_from_dict(obj) == report
+        assert report_to_dict(report_from_dict(obj)) == obj
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda r: r.update(verdct=True), "report: unknown key 'verdct'"),
+        (lambda r: r.pop("mode"), "report: 'mode' must be of type str"),
+        (lambda r: r.pop("verdict"), "report: 'verdict' must be of type bool"),
+        (lambda r: r.pop("traces_examined"),
+         "report: 'traces_examined' must be of type int"),
+        (lambda r: r.update(mode=5), "report: 'mode' must be of type str"),
+        (lambda r: r.update(verdict="yes"),
+         "report: 'verdict' must be of type bool"),
+        (lambda r: r.update(traces_examined="3"),
+         "report: 'traces_examined' must be of type int"),
+        (lambda r: r.update(engine=None), "report: 'engine' must be of type"),
+        (lambda r: r.update(witness=5), "witness: expected an object"),
+        (lambda r: r["witness"].update(trace=[]),
+         "witness: unknown key 'trace'"),
+        (lambda r: r["witness"].pop("states"), "witness: execution must be"),
+        (lambda r: r["witness"].update(execution=5),
+         "witness: execution must be"),
+        (lambda r: r["witness"].update(execution=[5]),
+         "witness: execution must be"),
+        (lambda r: r["witness"].update(states=["a"]),
+         "witness: execution must be"),
+        (lambda r: r["witness"].update(states=[[5]]),
+         "witness: execution must be"),
+        (lambda r: r["witness"].update(states=[["a", "-a"]]),
+         "witness: state holds both a and -a"),
+        (lambda r: r["witness"].update(states=[["-"]]),
+         "witness: bad atom name"),
+    ], ids=["key-unknown", "mode-missing", "verdict-missing",
+            "examined-missing", "mode-number", "verdict-string",
+            "examined-string", "engine-null", "witness-number",
+            "witness-unknown", "states-missing", "execution-number",
+            "execution-numbers", "states-strings", "states-numbers",
+            "states-inconsistent", "states-bad-atom"])
+    def test_malformed_reports_are_refused(self, change, message):
+        obj = report_to_dict(run_check(load_model(GOLDEN_MODEL),
+                                       load_rules(GOLDEN_RULES), "partial"))
+        assert obj["witness"] is not None
+        change(obj)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}"):
+            report_from_dict(obj)
+        with pytest.raises(FileFormatError, match="^report: expected an "
+                                                  "object"):
+            report_from_dict([obj])
+
     def test_json_shape(self):
         report = run_check(load_model(GOLDEN_MODEL),
                            load_rules(GOLDEN_RULES), "partial")
@@ -408,7 +463,8 @@ class TestCli:
     @pytest.mark.parametrize("model, rules, field", [
         ({"root": {"type": "task", "id": "t1", "ann": "ab"}}, None, "ann"),
         ({"root": {"type": "task", "id": "t1", "ann": [5]}}, None, "ann"),
-        ({"root": {"type": "task", "id": 5}}, None, "task id"),
+        ({"root": {"type": "task", "id": 5}}, None,
+         "root: task id must be a string"),
         ({"name": 5, "root": task_dict("t1")}, None, "model name"),
         (None, {"obligations": [{"kind": "achievement", "requirement": 5,
                                  "trigger": None, "deadline": None}]},
@@ -434,6 +490,10 @@ class TestCli:
          "root.children[1]: unknown key 'annotation'"),
         ({"root": {"type": "xor", "childs": [task_dict("t1")]}}, None,
          "root: unknown key 'childs'"),
+        ({"root": {"type": "seq", "children": [
+            task_dict("t1"), {"type": "and", "children": [
+                {"type": "loop", "children": [task_dict("t2")]}]}]}}, None,
+         "root.children[1].children[0]: unknown block type 'loop'"),
         (None, {"obligation": []}, "rules: unknown key 'obligation'"),
         (None, {"obligations": [{"knd": "maintenance", "requirement": "b"}]},
          "obligations[0]: unknown key 'knd'"),
@@ -449,7 +509,7 @@ class TestCli:
     ], ids=["ann-string", "ann-number", "id-number", "name-number",
             "requirement-number", "trigger-list", "obligations-number",
             "kind-missing", "name-unknown", "root-unknown", "type-unknown",
-            "id-unknown", "ann-unknown", "children-unknown",
+            "id-unknown", "ann-unknown", "children-unknown", "type-loop",
             "obligations-unknown", "kind-unknown", "requirement-unknown",
             "trigger-unknown", "deadline-unknown"])
     def test_mistyped_fields_exit_two(self, tmp_path, capsys, model, rules,

@@ -379,6 +379,40 @@ class TestCount:
         assert len({e.task_ids() for e in runs}) == total
 
 
+class TestResidualTable:
+    def test_both_orders_reach_one_object(self):
+        block = and_(task("a"), task("b"), task("c"), task("d"))
+
+        def after(r, tid, built):
+            return next(rest for t, rest in frontier(r, built) if t.id == tid)
+
+        built = {}
+        ab = after(after(block, "a", built), "b", built)
+        assert after(after(block, "b", built), "a", built) is ab
+        assert ab == and_(task("c"), task("d"))
+        # without a table the two orders build equal, distinct objects
+        plain_ab = after(after(block, "a", None), "b", None)
+        plain_ba = after(after(block, "b", None), "a", None)
+        assert plain_ab == plain_ba == ab and plain_ab is not plain_ba
+
+    @given(models(max_tasks=7))
+    @example(validate(and_(seq(task("a"), task("b")), task("c"),
+                           xor(task("d"), and_(task("e"), task("f"))))))
+    def test_a_table_changes_no_move(self, m):
+        built, todo, reached = {}, [m.root], {id(m.root): m.root}
+        while todo:
+            r = todo.pop()
+            moves = frontier(r, built)
+            assert [t for t, _ in moves] == [t for t, _ in frontier(r)]
+            assert [a for _, a in moves] == [a for _, a in frontier(r)]
+            for _, a in moves:
+                if id(a) not in reached:
+                    reached[id(a)] = a
+                    todo.append(a)
+        # equal residuals are one object
+        assert len(set(reached.values())) == len(reached)
+
+
 class TestReplaySoundness:
     @given(models(max_tasks=6))
     def test_every_run_replays_to_the_sink(self, m):
