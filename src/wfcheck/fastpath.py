@@ -1,26 +1,26 @@
 """Polynomial checking for a single local rule over literals.
 
 When requirement, trigger and deadline are all literals, all a rule can
-observe of a state is its projection onto the requirement and deadline
-literals: two truth bits.  The engine steps the rule's monitor
-(``obligations.monitor``, which the brute engine steps on whole states) on
-those bits, and the carries it can reach compose structurally: fold
-through sequence children, union over choice branches.  A quiet task,
-one that is no trigger and leaves both bits alone, leaves every carry as
-it is, so the fold passes over it.  Parallel blocks have no cheap
-composition, so they are searched, without their quiet tasks, over
-(residual, carry) pairs, each expanded once, with the shared step
-``process.frontier``, which builds each distinct residual of one search
-once.  The search is refused when it explores more pairs than a cap, so
-its budget follows its cost, not the block's run count; choice-heavy
-models — where brute force blows up — stay polynomial.
+observe of a state is which of the requirement and deadline atoms it
+asserts: under the closed world an atom it does not assert is false.
+The engine steps the rule's monitor (``obligations.monitor``, which the
+brute engine steps on whole states) on the state's ``pos`` mask
+projected onto those atoms, and the carries it can reach compose
+structurally: fold through sequence children, union over choice
+branches.  A quiet task, one that is no trigger and mentions neither
+atom, leaves every carry as it is, so the fold passes over it.  Parallel
+blocks have no cheap composition, so they are searched, without their
+quiet tasks, over (residual, carry) pairs, each expanded once, with the
+shared step ``process.frontier``, which builds each distinct residual of
+one search once.  The search is refused when it explores more pairs than
+a cap, so its budget follows its cost, not the block's run count;
+choice-heavy models — where brute force blows up — stay polynomial.
 
 Every query steps that monitor for a set of trigger tasks.  With every
 trigger task in the set, the carries that runs end in decide partial and
 full compliance exactly.  With the set {x}, the endings of the runs where
 x fired tell whether x's interval can be satisfied or violated.  A query
-walks the model's task list once, reading each annotation's masks for
-the trigger tasks and for how each task moves the two bits;
+walks the model's task list once to find the trigger tasks;
 ``label_triggers`` shares that walk among its triggers.
 
 The structural `erase` operation removes tasks from a model such that the
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .formula import EMPTY_STATE, atom_bit, eval_formula, formula_to_literal
+from .formula import atom_bit, formula_to_literal
 from .net import DEFAULT_CAP, Carry, ExecutionCapExceeded
 from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
                           classify_variant, monitor, monitor_complies)
@@ -65,23 +65,21 @@ def require_single_local_literal(rs: RuleSet) -> Obligation:
 
 def trigger_transitions(m: Model, o: Obligation) -> list[Task]:
     """Tasks whose annotation satisfies the trigger, in declaration order."""
-    return list(_scan_tasks(m, o)[0].values())
+    return list(_scan_tasks(m, o).values())
 
 
 # ---------------------------------------------------------------------------
-# the rule's monitor on two truth bits
+# the rule's monitor on the state projected onto its atoms
 #
-# An annotation sets a bit when it asserts the literal, clears it when it
-# asserts the negation, and otherwise leaves it, as ``update`` does to the
-# whole state.  The carry is (bits, mark, whether a trigger in the set
-# fired).  A carry that can no longer change the outcome collapses to one
-# constant, which keeps reach sets small: _DEAD once an interval is
-# violated, _DECIDED once the only trigger has fired and its interval
-# closed (a task fires at most once per run).
+# The carry is (the asserted bits of the requirement and deadline atoms,
+# mark, whether a trigger in the set fired); a task steps the bits as
+# ``update`` steps a state's ``pos`` mask.  A carry that can no longer
+# change the outcome collapses to one constant, which keeps reach sets
+# small: _DEAD once an interval is violated, _DECIDED once the only
+# trigger has fired and its interval closed (a task fires at most once
+# per run).
 
-_REQUIREMENT, _DEADLINE = 1, 2
 _DEAD, _DECIDED = (0, MONITOR_DEAD, True), (0, 0, True)
-_QUIET = (3, 0)  # the masks of a task that leaves both bits alone
 
 
 def _loud(block: ProcessBlock, quiet: Callable[[Task], bool]
@@ -161,40 +159,30 @@ def _and_reach(block: AndBlock, states: frozenset[Carry],
     return frozenset(ends)
 
 
-def _scan_tasks(m: Model, o: Obligation
-                ) -> tuple[dict[str, Task], dict[str, tuple[int, int]]]:
-    """o's trigger tasks by id, in declaration order, and each task's masks
-    on o's two truth bits, (bits kept, bits set), from one walk over m's
-    tasks that reads their annotations' masks; WrongVariant unless 1L-."""
+def _scan_tasks(m: Model, o: Obligation) -> dict[str, Task]:
+    """o's trigger tasks by id, in declaration order; WrongVariant unless
+    o is 1L-."""
     require_single_local_literal(RuleSet((o,)))
-    # (atom bit, polarity, truth bit) of the requirement and the deadline
-    fields = [(atom_bit(lit.atom), lit.positive, bit) for lit, bit in (
-        (formula_to_literal(o.requirement), _REQUIREMENT),
-        (formula_to_literal(o.deadline), _DEADLINE))]
     trigger = formula_to_literal(o.trigger)
-    trigger_bit = atom_bit(trigger.atom)
-    triggers, masks = {}, {}
-    for t in iter_tasks(m.root):
-        pos, neg, keep, put = t.annotation.pos, t.annotation.neg, 3, 0
-        for b, positive, bit in fields:
-            if (pos if positive else neg) & b:
-                put |= bit
-            elif (neg if positive else pos) & b:
-                keep ^= bit
-        masks[t.id] = keep, put
-        # closed world: !u holds on every task that does not assert u
-        if bool(pos & trigger_bit) is trigger.positive:
-            triggers[t.id] = t
-    return triggers, masks
+    bit = atom_bit(trigger.atom)
+    # closed world: !u holds on every task that does not assert u
+    return {t.id: t for t in iter_tasks(m.root)
+            if bool(t.annotation.pos & bit) is trigger.positive}
 
 
 def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
-             masks: dict[str, tuple[int, int]],
              and_cap: int) -> frozenset[Carry]:
     """Carries o's monitor ends some run of m in, stepped on the state
-    projected onto o's literals by ``masks`` (from ``_scan_tasks``)."""
-    def holds(f, bits: int) -> bool:
-        return bool(bits & (_REQUIREMENT if f is o.requirement else _DEADLINE))
+    projected onto o's requirement and deadline atoms."""
+    requirement, deadline = map(formula_to_literal,
+                                (o.requirement, o.deadline))
+    req_bit, dl_bit = atom_bit(requirement.atom), atom_bit(deadline.atom)
+    atoms = req_bit | dl_bit
+
+    def holds(f, bits: int) -> bool:  # eval_formula on a literal
+        if f is o.requirement:
+            return bool(bits & req_bit) is requirement.positive
+        return bool(bits & dl_bit) is deadline.positive
 
     mark, monitor_step = monitor(o, trigger_ids, False, holds)
     single = len(trigger_ids) == 1
@@ -202,8 +190,8 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
     def step(carry, task: Task):
         if carry is _DEAD or carry is _DECIDED:
             return carry
-        keep, put = masks[task.id]
-        bits = carry[0] & keep | put
+        ann = task.annotation
+        bits = (carry[0] & ~(ann.pos | ann.neg) | ann.pos) & atoms
         mark = monitor_step(carry[1], task, bits)
         if mark == MONITOR_DEAD:
             return _DEAD
@@ -212,57 +200,51 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
             return _DECIDED
         return bits, mark, fired
 
-    def quiet(task: Task) -> bool:  # no trigger, both bits left alone
-        return masks[task.id] == _QUIET and task.id not in trigger_ids
+    def quiet(task: Task) -> bool:  # no trigger, mentions neither atom
+        ann = task.annotation
+        return not (ann.pos | ann.neg) & atoms and task.id not in trigger_ids
 
-    # runs start empty, where exactly the negative literals hold
-    start = sum(bit for f, bit in ((o.requirement, _REQUIREMENT),
-                                   (o.deadline, _DEADLINE))
-                if eval_formula(f, EMPTY_STATE))
-    return _reach(m.root, frozenset(((start, mark, False),)), step, quiet,
+    # runs start empty, asserting nothing
+    return _reach(m.root, frozenset(((0, mark, False),)), step, quiet,
                   and_cap)
 
 
 def _interval_outcomes(m: Model, o: Obligation, x: Task,
-                       triggers: dict[str, Task],
-                       masks: dict[str, tuple[int, int]],
-                       and_cap: int) -> set[bool]:
+                       triggers: dict[str, Task], and_cap: int) -> set[bool]:
     """Whether x's interval is satisfied, over the runs containing x;
-    ``triggers`` and ``masks`` are ``_scan_tasks``'s."""
+    ``triggers`` are ``_scan_tasks``'s."""
     if x.id not in triggers:
         raise ValueError(f"{x.id!r} is not a trigger task of this rule")
     return {monitor_complies(mark, o.kind)
-            for _, mark, fired in _endings(m, o, frozenset((x.id,)), masks,
-                                           and_cap)
+            for _, mark, fired in _endings(m, o, frozenset((x.id,)), and_cap)
             if fired}
 
 
 def _run_outcomes(m: Model, o: Obligation, and_cap: int) -> set[bool]:
     """Whether o is satisfied, over all runs of m."""
-    triggers, masks = _scan_tasks(m, o)
     return {monitor_complies(mark, o.kind)
-            for _, mark, _ in _endings(m, o, frozenset(triggers), masks,
+            for _, mark, _ in _endings(m, o, frozenset(_scan_tasks(m, o)),
                                        and_cap)}
 
 
 def instance_satisfiable(m: Model, o: Obligation, x: Task,
                          and_cap: int = DEFAULT_CAP) -> bool:
     """Can some run containing x satisfy the interval x opens?"""
-    return True in _interval_outcomes(m, o, x, *_scan_tasks(m, o), and_cap)
+    return True in _interval_outcomes(m, o, x, _scan_tasks(m, o), and_cap)
 
 
 def instance_violable(m: Model, o: Obligation, x: Task,
                       and_cap: int = DEFAULT_CAP) -> bool:
     """Can some run containing x violate the interval x opens?"""
-    return False in _interval_outcomes(m, o, x, *_scan_tasks(m, o), and_cap)
+    return False in _interval_outcomes(m, o, x, _scan_tasks(m, o), and_cap)
 
 
 def label_triggers(m: Model, o: Obligation,
                    and_cap: int = DEFAULT_CAP) -> list[TriggerAnalysis]:
     """Per-trigger satisfiability labelling, in declaration order."""
-    triggers, masks = _scan_tasks(m, o)
+    triggers = _scan_tasks(m, o)
     return [TriggerAnalysis(x, True in _interval_outcomes(
-                m, o, x, triggers, masks, and_cap))
+                m, o, x, triggers, and_cap))
             for x in triggers.values()]
 
 

@@ -77,6 +77,8 @@ def _block_from_dict(obj, where: str = "root", depth: int = 1) -> ProcessBlock:
             state = State.of(*ann)
         except InconsistentInput as err:
             raise InconsistentAnnotation(f"task {tid!r}: {err}") from err
+        except ValueError as err:  # a bad atom name
+            raise FileFormatError(f"{where}.ann: task {tid!r}: {err}") from err
         return Task(tid, state)
     try:
         ctor = {"seq": Seq, "xor": Xor, "and": AndBlock}[kind]
@@ -143,19 +145,20 @@ def _obligation_to_dict(o: Obligation) -> dict:
 
 def _obligation_from_dict(obj, where: str) -> Obligation:
     _object(obj, ("kind", "requirement", "trigger", "deadline"), where)
+    fields, at = {"trigger": None, "deadline": None}, where  # or null
     try:
-        kind = Kind(_string(obj["kind"], "kind"))
-        requirement = parse_formula(_string(obj["requirement"],
-                                            "requirement"))
-        trigger, deadline = (
-            None if obj.get(key) is None
-            else parse_formula(_string(obj[key], key))
-            for key in ("trigger", "deadline"))
+        for key, read in (("kind", Kind), ("requirement", parse_formula),
+                          ("trigger", parse_formula),
+                          ("deadline", parse_formula)):
+            if key not in fields or obj.get(key) is not None:
+                at = f"{where}.{key}"
+                fields[key] = read(_string(obj[key], key))
+        at = where
+        return Obligation(**fields)
     except KeyError as err:
         raise FileFormatError(f"{where}: obligation without {err}") from None
-    except ValueError as err:
-        raise FileFormatError(str(err)) from err
-    return Obligation(kind, requirement, trigger, deadline)
+    except ValueError as err:  # errors of reading the field at ``at``
+        raise FileFormatError(f"{at}: {err}") from err
 
 
 def rules_to_dict(rs: RuleSet) -> dict:
@@ -218,9 +221,11 @@ def report_from_dict(obj) -> ComplianceReport:
         "report")}
     for key, kind in (("mode", str), ("verdict", bool),
                       ("traces_examined", int), ("engine", str)):
-        if not isinstance(obj.get(key), kind):
+        if type(obj.get(key)) is not kind:  # a bool is no int here
             raise FileFormatError(
                 f"report: {key!r} must be of type {kind.__name__}")
+    if obj["traces_examined"] < 0:
+        raise FileFormatError("report: 'traces_examined' must not be negative")
     obj["witness"] = _witness_from_dict(obj["witness"])
     return ComplianceReport(**obj)
 

@@ -178,19 +178,18 @@ def _from_masks(pos: int, neg: int) -> "State":
     s = _new_state(State)
     s.pos = pos
     s.neg = neg
-    s.key = (pos, neg)
     return s
 
 
 class State:
     """A consistent set of literals; the knowledge carried along a trace.
 
-    Every construction checks consistency.  ``key`` identifies the state
-    by value and hashes in C, for use as a table key.  States are not to be
-    mutated; each caches its sorted literals and its text on first use.
+    Every construction checks consistency.  Equality reads both masks,
+    closed-world truth only ``pos``.  States are not to be mutated; each
+    caches its sorted literals and its text on first use.
     """
 
-    __slots__ = ("pos", "neg", "key", "_sorted", "_text")
+    __slots__ = ("pos", "neg", "_sorted", "_text")
 
     def __new__(cls, literals: Iterable[Literal] = ()) -> "State":
         pos = neg = 0
@@ -234,11 +233,11 @@ class State:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, State):
-            return self.key == other.key
+            return self.pos == other.pos and self.neg == other.neg
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return hash((self.pos, self.neg))
 
     def __reduce__(self):
         # the masks mean nothing in another process: pickle the literals

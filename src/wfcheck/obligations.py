@@ -20,9 +20,9 @@ has met (achievement) or broken (maintenance) the requirement or reached
 the deadline, or that state would have decided them, so the next state
 decides them all the same way.  A global rule's interval is open from the
 first step.  Both engines step the one monitor, the brute engine on whole
-states, the fast engine on the state projected onto two literals.  The
-trace-level evaluation here (``in_force_intervals``, ``eval_obligation``)
-is the reference the monitor must agree with.
+states, the fast engine on the state's asserted bits of the rule's atoms.
+The trace-level evaluation here (``in_force_intervals``,
+``eval_obligation``) is the reference the monitor must agree with.
 """
 from __future__ import annotations
 
@@ -46,11 +46,11 @@ class SatCache:
     """Memo for formula-over-state checks; one engine run shares one.
 
     Formulas are keyed by identity: ``memo`` maps ``id(f)`` to ``f`` and
-    its table of truth values per state, keyed by ``State.key``.  So a
-    lookup hashes an int and a pair of ints, never walks the formula tree
-    and calls no Python-level ``__hash__``.  The entry keeps ``f`` alive,
-    so its id is not reused while the cache lives.  Equal formulas that are
-    distinct objects just get tables of their own.
+    its table of truth values keyed by ``State.pos``, all ``eval_formula``
+    reads, so states differing only in negations share an entry.  A lookup
+    hashes two ints and calls no Python-level ``__hash__``.  The entry
+    keeps ``f`` alive, so its id is not reused while the cache lives.
+    Equal formulas that are distinct objects get tables of their own.
     """
 
     def __init__(self):
@@ -62,9 +62,9 @@ class SatCache:
             entry = self.memo[id(f)] = (f, {})
         table = entry[1]
         try:
-            return table[s.key]
+            return table[s.pos]
         except KeyError:
-            value = table[s.key] = eval_formula(f, s)
+            value = table[s.pos] = eval_formula(f, s)
             return value
 
 

@@ -218,12 +218,11 @@ def monitor_verdict(tr, o, strict):
 
 
 def fast_monitor_verdict(tr, o):
-    """Step o's monitor along a trace on the fast engine's two truth bits,
-    and read it at the end."""
+    """Step o's monitor along a trace on the fast engine's carry, the
+    state's asserted bits projected onto o's atoms, and read it at the end."""
     m = validate(seq(*tr.tasks()[1:-1]))
-    _, masks = fastpath._scan_tasks(m, o)
     (carry,) = fastpath._endings(m, o, trace_trigger_ids(tr, o, eval_formula),
-                                 masks, DEFAULT_CAP)
+                                 DEFAULT_CAP)
     return monitor_complies(carry[1], o.kind)
 
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import build_example_model, build_level
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from strategies import ATOM_POOL, literals, models
+from strategies import ATOM_POOL, literals, models, states
 from test_engine import reference_report
 
 from wfcheck import fastpath, formula
@@ -19,13 +19,13 @@ from wfcheck.fastpath import (TriggerAnalysis, WrongVariant, erase,
                               partial_compliant_fast,
                               require_single_local_literal,
                               trigger_transitions)
-from wfcheck.formula import (Or, atom_bit, eval_formula, formula_to_literal,
-                             parse_formula)
+from wfcheck.formula import (Or, atom_bit, eval_formula, parse_formula,
+                             update)
 from wfcheck.generate import GeneratorConfig, generate_instance
-from wfcheck.net import (ExecutionCapExceeded, derive_trace,
+from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, derive_trace,
                          enumerate_executions)
 from wfcheck.obligations import (Kind, Obligation, RuleSet, VariantTag,
-                                 eval_restricted)
+                                 eval_restricted, monitor)
 from wfcheck.process import and_, count_executions, seq, task, validate, xor
 
 LOCAL_LITERAL = VariantTag(single=True, global_scope=False, literal_only=True)
@@ -86,59 +86,65 @@ class TestTriggerTransitions:
 UNMENTIONED = "never_asserted"  # an atom that no state in the tests holds
 
 
-def literal_reading(m, o):
-    """What ``_scan_tasks`` finds, read one literal at a time: the trigger
-    ids in declaration order, and each task's (bits kept, bits set)."""
-    fields = [(formula_to_literal(f), bit) for f, bit in (
-        (o.requirement, fastpath._REQUIREMENT),
-        (o.deadline, fastpath._DEADLINE))]
-    masks = {}
-    for t in m.tasks():
-        keep, put = 3, 0
-        for lit, bit in fields:
-            if lit in t.annotation:
-                put |= bit
-            elif lit.negate() in t.annotation:
-                keep ^= bit
-        masks[t.id] = keep, put
-    triggers = [t.id for t in m.tasks() if eval_formula(o.trigger,
-                                                        t.annotation)]
-    return triggers, masks
+def trigger_reading(m, o):
+    """The trigger task ids in declaration order, by ``eval_formula``."""
+    return [t.id for t in m.tasks() if eval_formula(o.trigger, t.annotation)]
 
 
-def mask_reading(m, o):
-    triggers, masks = fastpath._scan_tasks(m, o)
-    return list(triggers), masks
+def projected_step(s, ann, o):
+    """Run the fast engine on the one run <s, ann> with no trigger; return
+    the bits its carry ends in and the ``holds`` it reads them with."""
+    readers = []
+
+    def spy(*args):
+        readers.append(args[-1])
+        return monitor(*args)
+
+    m = validate(seq(task("s", *map(str, s)), task("ann", *map(str, ann))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastpath, "monitor", spy)
+        (carry,) = fastpath._endings(m, o, frozenset(), DEFAULT_CAP)
+    return carry[0], readers[0]
 
 
 class TestMaskReading:
-    """``_scan_tasks`` reads annotations through their masks: it must find
-    what reading them one literal at a time finds."""
+    """The fast engine reads a state as its ``pos`` mask projected onto the
+    rule's atoms and steps that as ``update`` steps ``pos``: what it reads
+    must be what ``eval_formula`` reads on the whole state."""
+
+    @given(states(), states(),
+           single_local_literal_rules(ATOM_POOL + (UNMENTIONED,)))
+    def test_projected_step_equals_eval_formula(self, s, ann, o):
+        bits, holds = projected_step(s, ann, o)
+        after = update(s, ann)
+        for f in (o.requirement, o.deadline):
+            assert holds(f, bits) == eval_formula(f, after)
 
     @given(models(), single_local_literal_rules(ATOM_POOL + (UNMENTIONED,)))
-    def test_masks_equal_the_literal_reading(self, m, o):
-        assert mask_reading(m, o) == literal_reading(m, o)
+    def test_trigger_reading_equals_eval_formula(self, m, o):
+        assert [t.id for t in trigger_transitions(m, o)] \
+            == trigger_reading(m, o)
 
     def test_negative_trigger_on_an_unmentioned_atom(self, example_model):
         o = lit_rule("achievement", "b", f"!{UNMENTIONED}", "d")
         assert atom_bit(UNMENTIONED) == 0
-        triggers, masks = mask_reading(example_model, o)
         # closed world: !u holds on every task, since none asserts u
-        assert triggers == [t.id for t in example_model.tasks()]
-        assert (triggers, masks) == literal_reading(example_model, o)
+        assert [t.id for t in trigger_transitions(example_model, o)] \
+            == trigger_reading(example_model, o) \
+            == [t.id for t in example_model.tasks()]
 
     def test_requirement_and_deadline_on_one_atom(self):
-        # <a, a, !a>: asserting a sets the requirement and clears the
-        # deadline, asserting -a the other way round
+        # level(2)'s tasks assert a or -a: each sets or clears the one bit
+        # that requirement, trigger and deadline all read
         m = validate(build_level(2), name="level2")
-        o = lit_rule("achievement", "a", "a", "!a")
-        triggers, masks = mask_reading(m, o)
-        assert (triggers, masks) == literal_reading(m, o)
-        assert {masks[t.id] for t in m.tasks()} == {
-            fastpath._QUIET, (fastpath._REQUIREMENT, fastpath._REQUIREMENT),
-            (fastpath._DEADLINE, fastpath._DEADLINE)}
-        assert triggers == [t.id for t in m.tasks()
-                            if masks[t.id][1] == fastpath._REQUIREMENT]
+        for kind in ("achievement", "maintenance"):
+            for rho, tau, delta in itertools.product(("a", "!a"), repeat=3):
+                o = lit_rule(kind, rho, tau, delta)
+                rs = RuleSet((o,))
+                assert partial_compliant_fast(m, o) \
+                    == check_partial(m, rs).verdict, o
+                assert full_compliant_fast(m, o) \
+                    == check_full(m, rs).verdict, o
 
     def test_queries_number_no_atom(self, example_model):
         before = dict(formula._BITS)
@@ -595,5 +601,5 @@ class TestQuietSkip:
             assert full_compliant_fast(m, o) \
                 == reference_report(m, rs, "full", False)[0]
             assert [t.id for t in trigger_transitions(m, o)] \
-                == literal_reading(m, o)[0]
+                == trigger_reading(m, o)
             TestInstanceAnalysis.assert_agrees_with_trace_enumeration(m, o)

@@ -203,19 +203,22 @@ class TestRuleFiles:
             rules_from_dict({"obligations": []})
 
     def test_trigger_without_deadline_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FileFormatError, match=re.escape(
+                "obligations[0]: trigger and deadline must be both given")):
             rules_from_dict({"obligations": [
                 {"kind": "achievement", "requirement": "b", "trigger": "a",
                  "deadline": None}]})
 
     def test_bad_formula_syntax_rejected(self):
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=re.escape(
+                "obligations[0].requirement: unexpected end of input")):
             rules_from_dict({"obligations": [
                 {"kind": "achievement", "requirement": "b &",
                  "trigger": None, "deadline": None}]})
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=re.escape(
+                "obligations[0].kind: 'eventually' is not a valid Kind")):
             rules_from_dict({"obligations": [
                 {"kind": "eventually", "requirement": "b",
                  "trigger": None, "deadline": None}]})
@@ -286,6 +289,10 @@ class TestReportFiles:
          "report: 'verdict' must be of type bool"),
         (lambda r: r.update(traces_examined="3"),
          "report: 'traces_examined' must be of type int"),
+        (lambda r: r.update(traces_examined=True),
+         "report: 'traces_examined' must be of type int"),
+        (lambda r: r.update(traces_examined=-1),
+         "report: 'traces_examined' must not be negative"),
         (lambda r: r.update(engine=None), "report: 'engine' must be of type"),
         (lambda r: r.update(witness=5), "witness: expected an object"),
         (lambda r: r["witness"].update(trace=[]),
@@ -305,7 +312,8 @@ class TestReportFiles:
          "witness: bad atom name"),
     ], ids=["key-unknown", "mode-missing", "verdict-missing",
             "examined-missing", "mode-number", "verdict-string",
-            "examined-string", "engine-null", "witness-number",
+            "examined-string", "examined-bool", "examined-negative",
+            "engine-null", "witness-number",
             "witness-unknown", "states-missing", "execution-number",
             "execution-numbers", "states-strings", "states-numbers",
             "states-inconsistent", "states-bad-atom"])
@@ -506,12 +514,33 @@ class TestCli:
         (None, {"obligations": [{"kind": "achievement", "requirement": "b",
                                  "trigger": "a", "dedline": "d"}]},
          "obligations[0]: unknown key 'dedline'"),
+        # an unreadable value names its place, as the keys above do
+        (None, {"obligations": [{"kind": "achievement", "requirement": "b &",
+                                 "trigger": None, "deadline": None}]},
+         "obligations[0].requirement: unexpected end of input (offset 3)"),
+        (None, {"obligations": [{"kind": "maintenance", "requirement": "b"},
+                                {"kind": "achievement", "requirement": "b",
+                                 "trigger": "a", "deadline": "d |"}]},
+         "obligations[1].deadline: unexpected end of input (offset 3)"),
+        (None, {"obligations": [{"kind": "bogus", "requirement": "b"}]},
+         "obligations[0].kind: 'bogus' is not a valid Kind"),
+        (None, {"obligations": [{"kind": "achievement", "requirement": "b",
+                                 "trigger": "a"}]},
+         "obligations[0]: trigger and deadline must be both given or both "
+         "omitted"),
+        ({"root": {"type": "seq", "children": [
+            task_dict("t1"), {"type": "task", "id": "t2", "ann": ["-"]}]}},
+         None, "root.children[1].ann: task 't2': bad atom name: ''"),
+        ({"root": {"type": "task", "id": "t1", "ann": ["a", "true"]}}, None,
+         "root.ann: task 't1': bad atom name: 'true'"),
     ], ids=["ann-string", "ann-number", "id-number", "name-number",
             "requirement-number", "trigger-list", "obligations-number",
             "kind-missing", "name-unknown", "root-unknown", "type-unknown",
             "id-unknown", "ann-unknown", "children-unknown", "type-loop",
             "obligations-unknown", "kind-unknown", "requirement-unknown",
-            "trigger-unknown", "deadline-unknown"])
+            "trigger-unknown", "deadline-unknown", "requirement-syntax",
+            "deadline-syntax", "kind-bogus", "deadline-missing",
+            "ann-dash", "ann-keyword"])
     def test_mistyped_fields_exit_two(self, tmp_path, capsys, model, rules,
                                       field):
         model_path, rules_path = GOLDEN_MODEL, GOLDEN_RULES

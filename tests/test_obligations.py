@@ -1,6 +1,6 @@
 """Interval extraction and rule evaluation on traces."""
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from wfcheck.formula import (Atom, Not, Or, State, eval_formula,
@@ -177,6 +177,16 @@ class TestSatCache:
         for s in ss:
             assert cache.holds(f1, s) == cache.holds(f2, s) \
                 == eval_formula(f1, s)
+
+    @given(states())
+    def test_states_that_differ_only_in_negations_share_an_entry(self, s):
+        asserted = State(lit for lit in s if lit.positive)
+        assume(asserted != s)
+        f = parse_formula("a & !b | c -> d | !e")
+        cache = SatCache()
+        for state in (s, asserted):
+            assert cache.holds(f, state) == eval_formula(f, state)
+        assert len(cache.memo[id(f)][1]) == 1
 
     def test_short_lived_formulas_never_get_a_stale_answer(self):
         cache = SatCache()
