@@ -17,7 +17,7 @@ import json
 import sys
 
 from .bench import SUITES, run_bench
-from .engine import DEFAULT_CAP, run_check
+from .engine import DEFAULT_CAP, ENGINES, MODES, run_check
 from .fastpath import WrongVariant
 from .fileio import (dump_model, dump_rules, format_report, load_model,
                      load_rules)
@@ -99,10 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run one compliance check")
     check.add_argument("--model", required=True)
     check.add_argument("--rules", required=True)
-    check.add_argument("--mode", required=True,
-                       choices=("full", "partial", "non"))
-    check.add_argument("--engine", default="brute",
-                       choices=("brute", "fast"))
+    check.add_argument("--mode", required=True, choices=MODES)
+    check.add_argument("--engine", default="brute", choices=ENGINES)
     check.add_argument("--jobs", type=positive_int, default=1,
                        help="accepted and ignored: checks run in one thread")
     check.add_argument(

@@ -38,6 +38,9 @@ from .obligations import (MONITOR_DEAD, RuleSet, SatCache, eval_obligation,
                           monitor, monitor_complies)
 from .process import Model, Task, count_executions
 
+MODES = ("full", "partial", "non")
+ENGINES = ("brute", "fast")
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -139,11 +142,11 @@ def run_check(model: Model, rules: RuleSet, mode: str, engine: str = "brute",
               strict_deadline: bool = False) -> ComplianceReport:
     """Dispatch a mode/engine pair; the fast engine needs a 1L- rule set
     and reads deadlines the default way only."""
-    if mode not in ("full", "partial", "non"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if engine == "brute":
         return _report(mode, model, rules, cap, strict_deadline)
-    if engine != "fast":
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if strict_deadline:
         raise ValueError("--strict-deadline needs the brute engine")

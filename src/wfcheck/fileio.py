@@ -6,16 +6,17 @@ equal model.  Rule files hold formula strings in the parser's syntax, a
 null trigger/deadline pair meaning the rule is in force globally.  Field
 types and keys are checked on load (a key the format does not define, or
 one given twice, is refused), so a malformed file raises FileFormatError
-rather than an error from deep inside the constructors.  Block trees may
-nest at most ``process.MAX_DEPTH`` blocks deep; the reader stops at that
-depth with ``process.ModelTooDeep``, as ``validate`` does.
+rather than an error from deep inside the constructors, and every error
+raised while loading a file starts with that file's path.  Block trees
+may nest at most ``process.MAX_DEPTH`` blocks deep; the reader stops at
+that depth with ``process.ModelTooDeep``, as ``validate`` does.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from .engine import ComplianceReport, Witness
+from .engine import ENGINES, MODES, ComplianceReport, Witness
 from .formula import (InconsistentInput, State, format_formula,
                       parse_formula)
 from .obligations import Kind, Obligation, RuleSet
@@ -66,10 +67,7 @@ def _block_from_dict(obj, where: str = "root", depth: int = 1) -> ProcessBlock:
         _object(obj, ("type", "id", "ann"), where)
         if "id" not in obj:
             raise FileFormatError(f"{where}: task block without an id")
-        tid, ann = obj["id"], obj.get("ann", [])
-        if not isinstance(tid, str):
-            raise FileFormatError(
-                f"{where}: task id must be a string, got {tid!r}")
+        tid, ann = _string(obj["id"], f"{where}: task id"), obj.get("ann", [])
         if not _strings(ann):
             raise FileFormatError(f"task {tid!r}: ann must be a list of "
                                   f"strings, got {ann!r}")
@@ -115,23 +113,31 @@ def _unique_keys(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _load_json(path):
+def _load(path, read):
+    """``read`` of the JSON in the file at ``path``.  A ValueError raised
+    while loading keeps its class and gets the path in front of its text."""
     try:
-        return _DECODER.decode(Path(path).read_text("utf-8"))
-    except FileFormatError as err:
-        raise FileFormatError(f"{path}: {err}") from None
-    except RecursionError:
+        return read(_DECODER.decode(Path(path).read_text("utf-8")))
+    except RecursionError:  # JSON too deep for the decoder
         raise ModelTooDeep(
             f"{path}: JSON nests more than {MAX_DEPTH} deep") from None
+    except UnicodeDecodeError as err:  # its text ignores its args
+        raise FileFormatError(f"{path}: {err}") from None
+    except ValueError as err:
+        err.args = (f"{path}: {err}",)
+        raise
+
+
+def _dump(obj: dict, path) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
 
 
 def load_model(path) -> Model:
-    return model_from_dict(_load_json(path))
+    return _load(path, model_from_dict)
 
 
 def dump_model(m: Model, path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(m), indent=2) + "\n", "utf-8")
+    _dump(model_to_dict(m), path)
 
 
 def _obligation_to_dict(o: Obligation) -> dict:
@@ -176,12 +182,11 @@ def rules_from_dict(obj) -> RuleSet:
 
 
 def load_rules(path) -> RuleSet:
-    return rules_from_dict(_load_json(path))
+    return _load(path, rules_from_dict)
 
 
 def dump_rules(rs: RuleSet, path) -> None:
-    Path(path).write_text(
-        json.dumps(rules_to_dict(rs), indent=2) + "\n", "utf-8")
+    _dump(rules_to_dict(rs), path)
 
 
 def _witness_to_dict(w: Witness | None):
@@ -202,10 +207,12 @@ def _witness_from_dict(obj) -> Witness | None:
         raise FileFormatError("witness: execution must be a list of strings "
                               "and states a list of literal lists")
     try:
-        return Witness(tuple(execution),
-                       tuple(State.of(*lits) for lits in states))
+        states = tuple(State.of(*lits) for lits in states)
     except ValueError as err:  # a bad atom, or an atom and its negation
         raise FileFormatError(f"witness: {err}") from err
+    if len(states) != len(execution):
+        raise FileFormatError("witness: states must hold one state per task")
+    return Witness(tuple(execution), states)
 
 
 def report_to_dict(report: ComplianceReport) -> dict:
@@ -226,6 +233,9 @@ def report_from_dict(obj) -> ComplianceReport:
                 f"report: {key!r} must be of type {kind.__name__}")
     if obj["traces_examined"] < 0:
         raise FileFormatError("report: 'traces_examined' must not be negative")
+    for key, known in (("mode", MODES), ("engine", ENGINES)):
+        if obj[key] not in known:
+            raise FileFormatError(f"report: unknown {key} {obj[key]!r}")
     obj["witness"] = _witness_from_dict(obj["witness"])
     return ComplianceReport(**obj)
 

@@ -157,53 +157,41 @@ def iter_tasks(block: ProcessBlock) -> Iterator[Task]:
             todo.extend(reversed(block.children))
 
 
-def _normalise(block: ProcessBlock) -> ProcessBlock:
-    """Collapse one-child composites; reject empty ones."""
+def _checked(block: ProcessBlock, seen: set, depth: int) -> ProcessBlock:
+    """``block`` with its one-child composites collapsed, once each block
+    and task in it is checked in pre-order; ``seen`` holds the task ids
+    met so far, and ``depth`` is the level ``block`` sits at."""
     if isinstance(block, Task):
+        tid = block.id
+        if not (isinstance(tid, str) and TASK_ID_PATTERN.fullmatch(tid)):
+            raise InvalidTaskId(f"task id {tid!r} is not an identifier")
+        if tid.startswith(RESERVED_PREFIX):
+            raise InvalidTaskId(f"task id {tid!r} uses the reserved prefix")
+        if tid in seen:
+            raise DuplicateTaskId(
+                f"task id {tid!r} is reserved for the boundary tasks"
+                if tid in (START_ID, END_ID) else f"duplicate task id {tid!r}")
+        seen.add(tid)
+        if not isinstance(block.annotation, State):
+            raise InconsistentAnnotation(
+                f"task {tid!r} annotation must be a State")
         return block
     if not isinstance(block, Composite):
         raise TypeError(f"not a process block: {block!r}")
-    children = tuple(_normalise(c) for c in block.children)
-    if len(children) == 0:
+    if depth >= MAX_DEPTH and block.children:  # so at most MAX_DEPTH nest
+        raise ModelTooDeep(f"block tree nests more than {MAX_DEPTH} deep")
+    children = tuple(_checked(c, seen, depth + 1) for c in block.children)
+    if not children:
         raise EmptyBlock(f"{type(block).__name__} with no children")
-    if len(children) == 1:
-        return children[0]
-    return type(block)(children)
-
-
-def _check_depth(root: ProcessBlock) -> None:
-    """Refuse a tree nested past MAX_DEPTH, one level at a time, so that
-    measuring it needs no recursion."""
-    level, depth = [root], 1
-    while level:
-        if depth > MAX_DEPTH:
-            raise ModelTooDeep(f"block tree nests more than {MAX_DEPTH} deep")
-        level = [child for block in level
-                 for child in getattr(block, "children", ())]
-        depth += 1
+    return children[0] if len(children) == 1 else type(block)(children)
 
 
 def validate(root: ProcessBlock, name: str = "model") -> Model:
-    """Check a block tree and wrap it between start and end."""
-    _check_depth(root)
-    body = _normalise(root)
-    wrapped = Seq((Task(START_ID), body, Task(END_ID)))
-    seen: set[str] = set()
-    for t in iter_tasks(wrapped):
-        if not TASK_ID_PATTERN.fullmatch(t.id):
-            raise InvalidTaskId(f"task id {t.id!r} is not an identifier")
-        if t.id.startswith(RESERVED_PREFIX):
-            raise InvalidTaskId(f"task id {t.id!r} uses the reserved prefix")
-        if t.id in seen:
-            raise DuplicateTaskId(
-                f"task id {t.id!r} is reserved for the boundary tasks"
-                if t.id in (START_ID, END_ID)
-                else f"duplicate task id {t.id!r}")
-        seen.add(t.id)
-        if not isinstance(t.annotation, State):
-            raise InconsistentAnnotation(
-                f"task {t.id!r} annotation must be a State")
-    return Model(name, wrapped)
+    """Check a block tree in one walk and wrap it between start and end.
+    A tree with several defects raises the error of the first one in
+    pre-order."""
+    body = _checked(root, {START_ID, END_ID}, 1)
+    return Model(name, Seq((Task(START_ID), body, Task(END_ID))))
 
 
 def _length_counts(block: ProcessBlock) -> dict[int, int]:

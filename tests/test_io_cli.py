@@ -310,13 +310,20 @@ class TestReportFiles:
          "witness: state holds both a and -a"),
         (lambda r: r["witness"].update(states=[["-"]]),
          "witness: bad atom name"),
+        (lambda r: r.update(mode="sometimes"),
+         "report: unknown mode 'sometimes'"),
+        (lambda r: r.update(engine="turbo"),
+         "report: unknown engine 'turbo'"),
+        (lambda r: r["witness"].update(states=[]),
+         "witness: states must hold one state per task"),
     ], ids=["key-unknown", "mode-missing", "verdict-missing",
             "examined-missing", "mode-number", "verdict-string",
             "examined-string", "examined-bool", "examined-negative",
             "engine-null", "witness-number",
             "witness-unknown", "states-missing", "execution-number",
             "execution-numbers", "states-strings", "states-numbers",
-            "states-inconsistent", "states-bad-atom"])
+            "states-inconsistent", "states-bad-atom", "mode-unknown",
+            "engine-unknown", "states-short"])
     def test_malformed_reports_are_refused(self, change, message):
         obj = report_to_dict(run_check(load_model(GOLDEN_MODEL),
                                        load_rules(GOLDEN_RULES), "partial"))
@@ -602,7 +609,45 @@ class TestCli:
             "type": "seq", "children": [task_dict(i) for i in ids]}}))
         assert main(["check", "--model", str(path), "--rules",
                      str(GOLDEN_RULES), "--mode", "full"]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("option, content, message", [
+        ("--model", b'{"root": ',
+         "Expecting value: line 1 column 10 (char 9)"),
+        ("--model", b'{"root": "\xff"}', "'utf-8' codec can't decode byte "
+                                         "0xff in position 10: invalid start "
+                                         "byte"),
+        ("--model", {"root": {"type": "loop", "children": []}},
+         "root: unknown block type 'loop'"),
+        ("--model", {"root": task_dict("t1", "a", "-a")},
+         "task 't1': state holds both a and -a"),
+        ("--model", {"root": {"type": "xor", "children": [
+            task_dict("x"), task_dict("x")]}}, "duplicate task id 'x'"),
+        ("--model", nested_seq(MAX_DEPTH + 1),
+         f"block tree nests more than {MAX_DEPTH} deep"),
+        ("--rules", {"obligations": [{"kind": "achievement",
+                                      "requirement": "b &"}]},
+         "obligations[0].requirement: unexpected end of input (offset 3)"),
+        ("--rules", {"obligations": [{"kind": "eventually",
+                                      "requirement": "b"}]},
+         "obligations[0].kind: 'eventually' is not a valid Kind"),
+        ("--rules", {"obligations": [{"kind": "achievement",
+                                      "requirement": "b", "triger": "a",
+                                      "deadline": "d"}]},
+         "obligations[0]: unknown key 'triger'"),
+    ], ids=["truncated", "not-utf8", "block-type", "clash", "duplicate-id",
+            "too-deep", "formula", "kind", "key"])
+    def test_every_load_error_names_its_file(self, tmp_path, capsys, option,
+                                             content, message):
+        path = tmp_path / f"bad.{option[2:]}.json"
+        path.write_bytes(content if isinstance(content, bytes)
+                         else json.dumps(content).encode())
+        files = {"--model": str(GOLDEN_MODEL), "--rules": str(GOLDEN_RULES),
+                 option: str(path)}
+        code = main(["check", *itertools.chain(*files.items()),
+                     "--mode", "full"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     def test_wide_choice_model_meets_the_exit_contract_in_time(self,
                                                                tmp_path):
@@ -742,7 +787,8 @@ class TestAtomNumbering:
                                "--mode", "full"], seed, text=True)
             assert proc.returncode == 2 and proc.stdout == ""
             errors.add(proc.stderr)
-        assert errors == {"error: task 't1': state holds both a and -a\n"}
+        assert errors == {
+            f"error: {model}: task 't1': state holds both a and -a\n"}
 
     def test_criterion_9_rendering_ignores_the_atom_numbering(self):
         # the fresh interpreter numbers the atoms in reverse alphabetical

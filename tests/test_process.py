@@ -1,5 +1,6 @@
 """Model validation, net compilation, run enumeration and trace derivation."""
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, example, given
@@ -14,8 +15,8 @@ from wfcheck.net import (DEFAULT_CAP, ExecutionCapExceeded, Marking,
                          fire, replay)
 from wfcheck.process import (DONE, AndBlock, DuplicateTaskId, EmptyBlock,
                              MAX_DEPTH, InconsistentAnnotation, InvalidTaskId,
-                             Seq, Task, and_, count_executions, frontier,
-                             iter_tasks, seq, task, validate, xor)
+                             ModelTooDeep, Seq, Task, and_, count_executions,
+                             frontier, iter_tasks, seq, task, validate, xor)
 
 # The running example: four runs, with the states each one accumulates.
 EXPECTED_RUNS = [
@@ -63,11 +64,54 @@ class TestValidate:
             validate(task("no spaces"))
         with pytest.raises(InvalidTaskId):
             validate(task("__fork1"))
+        with pytest.raises(InvalidTaskId,
+                           match="^task id 5 is not an identifier$"):
+            validate(Task(5))
 
     def test_non_state_annotation_rejected(self):
         leaf = Task("t1", frozenset())
         with pytest.raises(InconsistentAnnotation):
             validate(leaf)
+
+    @pytest.mark.parametrize("tree, error, message", [
+        (lambda: seq(task("t1"), task("no spaces")), InvalidTaskId,
+         "task id 'no spaces' is not an identifier"),
+        (lambda: seq(task("t1"), task("__fork1")), InvalidTaskId,
+         "task id '__fork1' uses the reserved prefix"),
+        (lambda: seq(task("t1"), xor(task("t2"), task("t1"))),
+         DuplicateTaskId, "duplicate task id 't1'"),
+        (lambda: seq(task("start"), task("t1")), DuplicateTaskId,
+         "task id 'start' is reserved for the boundary tasks"),
+        (lambda: seq(task("t1"), task("end")), DuplicateTaskId,
+         "task id 'end' is reserved for the boundary tasks"),
+        (lambda: seq(task("t1"), Task("t2", frozenset())),
+         InconsistentAnnotation, "task 't2' annotation must be a State"),
+        (lambda: seq(task("t1"), "t2"), TypeError,
+         "not a process block: 't2'"),
+        (lambda: seq(task("t1"), and_(task("t2"), xor())), EmptyBlock,
+         "Xor with no children"),
+        (lambda: deep_nest(MAX_DEPTH + 1), ModelTooDeep,
+         f"block tree nests more than {MAX_DEPTH} deep"),
+    ], ids=["identifier", "reserved-prefix", "duplicate", "start", "end",
+            "annotation", "non-block", "empty", "too-deep"])
+    def test_each_defect_raises_its_class_and_text(self, tree, error,
+                                                   message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            validate(tree())
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("tree, error", [
+        (lambda: seq(task("t1"), task("t1"), xor()), DuplicateTaskId),
+        (lambda: seq(task("t1"), xor(), task("t1")), EmptyBlock),
+        (lambda: seq(task("no spaces"), deep_nest(MAX_DEPTH)),
+         InvalidTaskId),
+        (lambda: seq(deep_nest(MAX_DEPTH), task("no spaces")), ModelTooDeep),
+    ], ids=["duplicate-then-empty", "empty-then-duplicate",
+            "bad-id-then-deep", "deep-then-bad-id"])
+    def test_the_first_defect_in_pre_order_is_reported(self, tree, error):
+        with pytest.raises(error) as info:
+            validate(tree())
+        assert type(info.value) is error
 
 
 def recursive_tasks(block):
