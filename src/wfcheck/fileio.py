@@ -39,9 +39,11 @@ def _strings(value) -> bool:
 
 
 def _object(obj, known: tuple[str, ...], where: str) -> dict:
-    """obj, if it is an object with no key but the ``known`` ones."""
+    """obj, if it is an object of ``known`` keys, each given once."""
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected an object, got {obj!r}")
+    if isinstance(obj, _KeyTwice):
+        raise FileFormatError(f"{where}: duplicate key {obj.key!r}")
     for key in obj:
         if key not in known:
             raise FileFormatError(f"{where}: unknown key {key!r}")
@@ -102,15 +104,19 @@ def model_from_dict(obj) -> Model:
                     name=_string(obj.get("name", "model"), "model name"))
 
 
-def _unique_keys(pairs: list) -> dict:
+class _KeyTwice(dict):
+    """A decoded object given ``key`` twice; ``_object`` refuses it."""
+
+
+def _keep_pairs(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise FileFormatError(f"duplicate key {key!r}")
+        obj, seen = _KeyTwice(obj), set()
+        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
     return obj
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_DECODER = json.JSONDecoder(object_pairs_hook=_keep_pairs)
 
 
 def _load(path, read):

@@ -17,7 +17,9 @@ lexicographic order of task ids.
 caller's carry along each edge and pushes it with the step, so a prefix
 that many runs share is folded once, not once per run, and a caller can
 prune a subtree whose runs it no longer needs.  ``enumerate_traces``
-carries the state after each task and yields each run as a trace;
+carries the state after each task and yields each run as a trace; it
+interns states by their masks within one listing, in a table of bounded
+size, so runs that reach equal states share one object;
 ``enumerate_executions`` carries nothing; the brute engine carries the
 state plus its rule monitors.  The fast engine needs no runs, only the
 carries they end in, so it searches and-blocks over the same frontier
@@ -38,6 +40,7 @@ SOURCE_PLACE = "i"
 SINK_PLACE = "o"
 
 DEFAULT_CAP = 2 ** 20
+_SHARED_STATES = 2048  # most states one listing keeps to share
 
 Carry = Any  # what a walk folds along each edge
 
@@ -246,10 +249,6 @@ def _walk(root: ProcessBlock, start: Carry, fold) -> Iterator[list]:
             steps.pop()
 
 
-def _fold_state(state: State, task: Task, residual) -> State:
-    return update(state, task.annotation)
-
-
 def _no_carry(carry: tuple, task: Task, residual) -> tuple:
     return carry
 
@@ -257,10 +256,18 @@ def _no_carry(carry: tuple, task: Task, residual) -> tuple:
 def enumerate_traces(model: Model,
                      cap: int | None = DEFAULT_CAP) -> Iterator[Trace]:
     """Yield every run exactly once as a trace, depth-first, next task
-    ordered by id; ``cap=None`` lists runs without counting them first."""
+    ordered by id; ``cap=None`` lists runs without counting them first.
+    Runs that reach equal states share one ``State`` and its text, looked
+    up by its masks in a table cleared at ``_SHARED_STATES`` entries."""
+    shared: dict[tuple[int, int], State] = {}
+
+    def fold(state: State, task: Task, residual) -> State:
+        after = update(state, task.annotation)
+        if len(shared) >= _SHARED_STATES:
+            shared.clear()
+        return shared.setdefault((after.pos, after.neg), after)
     return (Trace(tuple(steps))
-            for steps in walk_runs(model.root, cap, EMPTY_STATE,
-                                   _fold_state))
+            for steps in walk_runs(model.root, cap, EMPTY_STATE, fold))
 
 
 def enumerate_executions(model: Model,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import build_example_model, build_level
 from strategies import models, rule_sets
 from test_acceptance import _render_everything
+from wfcheck import fileio
 from wfcheck.cli import main
 from wfcheck.bench import CSV_HEADER, run_bench
 from wfcheck.engine import run_check
@@ -563,23 +564,43 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:") and field in err
 
-    @pytest.mark.parametrize("option, text", [
-        ("--model", '{"root": {"type": "task", "id": "b", "id": "c"}}'),
+    @pytest.mark.parametrize("option, text, place, key", [
+        ("--model", '{"root": {"type": "task", "id": "b", "id": "c"}}',
+         "root", "id"),
         ("--rules", '{"obligations": [{"kind": "maintenance", '
-                    '"requirement": "a", "requirement": "b"}]}'),
-    ], ids=["model", "rules"])
+                    '"requirement": "a", "requirement": "b"}]}',
+         "obligations[0]", "requirement"),
+        ("--model", '{"root": {"type": "seq", "children": ['
+                    '{"type": "task", "id": "a"}, '
+                    '{"type": "task", "id": "b", "id": "c"}]}}',
+         "root.children[1]", "id"),
+        ("--model", '{"root": {"type": "and", "children": [], '
+                    '"children": []}}', "root", "children"),
+        ("--rules", '{"obligations": [], "obligations": []}', "rules",
+         "obligations"),
+    ], ids=["model", "rules", "nested-block", "composite", "rules-top"])
     def test_duplicate_keys_exit_two_by_name(self, tmp_path, capsys, option,
-                                             text):
+                                             text, place, key):
         path = tmp_path / "twice.json"
         path.write_text(text)
         files = {"--model": str(GOLDEN_MODEL), "--rules": str(GOLDEN_RULES),
                  option: str(path)}
         code = main(["check", *itertools.chain(*files.items()),
                      "--mode", "full"])
-        key = "id" if option == "--model" else "requirement"
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: duplicate key {key!r}\n")
+            f"error: {path}: {place}: duplicate key {key!r}\n")
+
+    def test_duplicate_key_in_a_report_witness_names_its_place(self,
+                                                               tmp_path):
+        path = tmp_path / "twice.report.json"
+        path.write_text('{"mode": "partial", "verdict": true, '
+                        '"traces_examined": 1, "engine": "brute", '
+                        '"witness": {"execution": ["t"], "states": [["a"]], '
+                        '"states": [["a"]]}}')
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}: witness: duplicate key 'states'")):
+            fileio._load(path, report_from_dict)
 
     def test_long_sequence_needs_no_deep_recursion(self, tmp_path, capsys):
         model = tmp_path / "long.model.json"

@@ -1,6 +1,7 @@
 """Model validation, net compilation, run enumeration and trace derivation."""
 import itertools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -247,10 +248,31 @@ class TestFoldedTraces:
         for execution, trace in zip(executions, traces):
             assert trace == derive_trace(m, execution)
 
+    @pytest.mark.parametrize("bound", [1, 2])
+    @given(models())
+    def test_a_full_state_table_is_cleared_without_changing_a_trace(
+            self, bound, m):
+        assume(count_executions(m.root) <= 2_000)
+        with mock.patch("wfcheck.net._SHARED_STATES", bound):
+            traces = list(enumerate_traces(m))
+        executions = list(enumerate_executions(m))
+        assert len(traces) == len(executions)
+        for execution, trace in zip(executions, traces):
+            assert trace == derive_trace(m, execution)
+
     def test_runs_sharing_a_prefix_share_its_states(self, example_model):
         first, second = list(enumerate_traces(example_model))[2:]
         # start,t3 is folded once for both runs that begin with it
         assert first.steps[1][1] is second.steps[1][1]
+
+    def test_interleavings_reaching_equal_states_share_one(self,
+                                                           example_model):
+        traces = list(enumerate_traces(example_model))
+        # start,t1,t3 and start,t3,t1 both reach {a, c, d}, then {-a, c, d};
+        # the two runs with t2 both reach {b, c, d}, then {-a, b, c, d}
+        for step in (2, 3, 4):
+            assert traces[0].steps[step][1] is traces[2].steps[step][1]
+            assert traces[1].steps[step][1] is traces[3].steps[step][1]
 
 
 def structural_runs(block):
