@@ -1,7 +1,6 @@
 """Compliance checking for block-structured workflow models."""
 
-from .engine import (ComplianceReport, Witness, check_full, check_non,
-                     check_partial, run_check, trace_complies)
+from .engine import ComplianceReport, Witness, run_check, trace_complies
 from .fastpath import (TriggerAnalysis, WrongVariant, erase,
                        full_compliant_fast, instance_satisfiable,
                        instance_violable, label_triggers,

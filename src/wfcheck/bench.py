@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import DEFAULT_CAP, check_full, check_partial
+from .engine import DEFAULT_CAP, run_check
 from .fastpath import full_compliant_fast, partial_compliant_fast
 from .formula import And, Atom, Formula, Not, Or, State
 from .obligations import Kind, Obligation, RuleSet
@@ -25,8 +25,6 @@ from .process import AndBlock, Seq, Task, Xor, count_executions, validate
 from .reduction import build_interpretation_model
 
 CSV_HEADER = ("instance", "engine", "n", "wall_ms", "traces", "verdict")
-
-SUITES = ("reduction", "fastpath", "parallel")
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,8 @@ def _reduction_records(n_min: int, n_max: int) -> list[BenchRecord]:
         instance = build_interpretation_model(_excluded_middle(n))
         cap = max(DEFAULT_CAP, 2 ** n + 1)
         report, ms = _timed(
-            lambda: check_full(instance.model, instance.rules, cap=cap))
+            lambda: run_check(instance.model, instance.rules, "full",
+                              cap=cap))
         records.append(BenchRecord(f"reduction-n{n}", "brute", n, ms,
                                    report.traces_examined, report.verdict))
     return records
@@ -94,7 +93,7 @@ def _fastpath_records(n_min: int, n_max: int) -> list[BenchRecord]:
         model, rule = _xor_chain(n)
         cap = max(DEFAULT_CAP, 2 ** n + 1)
         report, brute_ms = _timed(
-            lambda: check_partial(model, RuleSet((rule,)), cap=cap))
+            lambda: run_check(model, RuleSet((rule,)), "partial", cap=cap))
         records.append(BenchRecord(f"fastpath-n{n}", "brute", n, brute_ms,
                                    report.traces_examined, report.verdict))
         verdict, fast_ms = _timed(lambda: partial_compliant_fast(model, rule))
@@ -127,7 +126,7 @@ def _parallel_records(n_min: int, n_max: int) -> list[BenchRecord]:
         model, rule = _and_chains(n)
         if count_executions(model.root) <= DEFAULT_CAP:
             report, brute_ms = _timed(
-                lambda: check_full(model, RuleSet((rule,))))
+                lambda: run_check(model, RuleSet((rule,)), "full"))
             records.append(BenchRecord(f"parallel-n{n}", "brute", n,
                                        brute_ms, report.traces_examined,
                                        report.verdict))
@@ -135,6 +134,10 @@ def _parallel_records(n_min: int, n_max: int) -> list[BenchRecord]:
         records.append(BenchRecord(f"parallel-n{n}", "fast", n, fast_ms,
                                    0, verdict))
     return records
+
+
+SUITES = {"reduction": _reduction_records, "fastpath": _fastpath_records,
+          "parallel": _parallel_records}
 
 
 def run_bench(suite: str, n_min: int, n_max: int,
@@ -146,14 +149,9 @@ def run_bench(suite: str, n_min: int, n_max: int,
     if suite == "reduction" and n_max > len(string.ascii_lowercase):
         raise ValueError(f"the reduction suite has 26 atoms, got n-max "
                          f"{n_max}")
-    if suite == "reduction":
-        records = _reduction_records(n_min, n_max)
-    elif suite == "fastpath":
-        records = _fastpath_records(n_min, n_max)
-    elif suite == "parallel":
-        records = _parallel_records(n_min, n_max)
-    else:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    records = SUITES[suite](n_min, n_max)
     if out is not None:
         write_csv(records, out)
     return records

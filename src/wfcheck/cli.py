@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     classify.set_defaults(handler=_cmd_classify)
 
     bench = sub.add_parser("bench", help="time an engine suite")
-    bench.add_argument("--suite", required=True, choices=SUITES)
+    bench.add_argument("--suite", required=True, choices=SUITES.keys())
     bench.add_argument("--n-min", type=int, required=True)
     bench.add_argument("--n-max", type=int, required=True)
     bench.add_argument("--out", required=True)

@@ -1,7 +1,10 @@
-"""Brute-force compliance checking over the enumerated trace space.
+"""Compliance checks: one entry point, ``run_check``, over two engines.
 
 Three questions are asked of a model and a rule set: do all traces comply
-(full), does some trace comply (partial), does no trace comply (non).  The
+(full), does some trace comply (partial), does no trace comply (non).
+``run_check`` asks each as one search, for a violating run (full) or a
+complying one (partial, non), with either engine: ``fastpath`` for
+``1L-`` rule sets, with no witness, or the brute scan below.  The
 brute engine scans runs in the order of the shared run walk
 (``net.walk_runs``: depth-first, next task ordered by id) and
 short-circuits on the first witness, so verdict, witness and the examined
@@ -18,7 +21,7 @@ whole scan.
 Partial and non look for a complying run, and no run below a prefix with a
 dead monitor complies: the walk skips that subtree and counts its runs
 with ``count_executions``, so examined counts and witnesses stay exact.
-Only the reported run is built into a ``Trace``.  ``trace_complies`` over
+Only the reported run is built, into a ``Witness``.  ``trace_complies`` over
 ``eval_obligation`` is the reference the monitors must agree with.
 
 The scan runs in the calling thread.  ``run_check`` accepts ``jobs`` and
@@ -49,10 +52,6 @@ class Witness:
     execution: tuple[str, ...]
     states: tuple[State, ...]
 
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "Witness":
-        return cls(trace.task_ids(), trace.states())
-
 
 @dataclass(frozen=True)
 class ComplianceReport:
@@ -72,8 +71,8 @@ def trace_complies(tr: Trace, rs: RuleSet, strict_deadline: bool = False,
 
 
 def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
-          strict_deadline: bool) -> tuple[Trace | None, int]:
-    """First run whose compliance equals want, as a trace, plus the
+          strict_deadline: bool) -> tuple[Witness | None, int]:
+    """First run whose compliance equals want, as a witness, plus the
     examined count."""
     holds = SatCache().holds
     tasks = model.tasks()
@@ -101,61 +100,34 @@ def _scan(model: Model, rules: RuleSet, want: bool, cap: int,
     for run in walk_runs(model.root, cap, start, fold):
         examined += 1
         if all(map(monitor_complies, run[-1][1][1], kinds)) == want:
-            trace = Trace(tuple((task, carry[0]) for task, carry in run))
-            return trace, examined + skipped
+            witness = Witness(tuple(task.id for task, _ in run),
+                              tuple(carry[0] for _, carry in run))
+            return witness, examined + skipped
     return None, examined + skipped
-
-
-def _report(mode: str, model: Model, rules: RuleSet, cap: int,
-            strict_deadline: bool) -> ComplianceReport:
-    """Scan for the trace that decides the mode: a violating one for full,
-    a complying one for partial and non."""
-    found, examined = _scan(model, rules, mode != "full", cap,
-                            strict_deadline)
-    return ComplianceReport(
-        mode=mode,
-        verdict=(found is not None) == (mode == "partial"),
-        witness=None if found is None else Witness.from_trace(found),
-        traces_examined=examined)
-
-
-def check_full(model: Model, rules: RuleSet, cap: int = DEFAULT_CAP,
-               strict_deadline: bool = False) -> ComplianceReport:
-    """Every trace complies; a violating trace is reported otherwise."""
-    return _report("full", model, rules, cap, strict_deadline)
-
-
-def check_partial(model: Model, rules: RuleSet, cap: int = DEFAULT_CAP,
-                  strict_deadline: bool = False) -> ComplianceReport:
-    """Some trace complies; the first such trace is the witness."""
-    return _report("partial", model, rules, cap, strict_deadline)
-
-
-def check_non(model: Model, rules: RuleSet, cap: int = DEFAULT_CAP,
-              strict_deadline: bool = False) -> ComplianceReport:
-    """No trace complies; a complying trace refutes this."""
-    return _report("non", model, rules, cap, strict_deadline)
 
 
 def run_check(model: Model, rules: RuleSet, mode: str, engine: str = "brute",
               jobs: int = 1, cap: int = DEFAULT_CAP,
               strict_deadline: bool = False) -> ComplianceReport:
-    """Dispatch a mode/engine pair; the fast engine needs a 1L- rule set
-    and reads deadlines the default way only."""
+    """Answer one mode: full holds when no run violates the rules, partial
+    when some run complies, non when none does.  The fast engine needs a
+    1L- rule set and reads deadlines the default way only."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if engine == "brute":
-        return _report(mode, model, rules, cap, strict_deadline)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if strict_deadline:
-        raise ValueError("--strict-deadline needs the brute engine")
-    obligation = require_single_local_literal(rules)
-    if mode == "full":
-        verdict = full_compliant_fast(model, obligation, and_cap=cap)
+    want = mode != "full"
+    if engine == "brute":
+        witness, examined = _scan(model, rules, want, cap, strict_deadline)
+        exists = witness is not None
     else:
-        verdict = partial_compliant_fast(model, obligation, and_cap=cap)
-        if mode == "non":
-            verdict = not verdict
-    return ComplianceReport(mode=mode, verdict=verdict, witness=None,
-                            traces_examined=0, engine="fast")
+        if strict_deadline:
+            raise ValueError("--strict-deadline needs the brute engine")
+        obligation = require_single_local_literal(rules)
+        exists = (partial_compliant_fast(model, obligation, and_cap=cap)
+                  if want else
+                  not full_compliant_fast(model, obligation, and_cap=cap))
+        witness, examined = None, 0
+    return ComplianceReport(mode=mode, verdict=exists == (mode == "partial"),
+                            witness=witness, traces_examined=examined,
+                            engine=engine)

@@ -21,6 +21,7 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
 ATOM_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+MAX_TABLE_ATOMS = 24  # the most atoms tautology_truth_table enumerates
 
 
 class FormulaSyntaxError(ValueError):
@@ -36,7 +37,7 @@ class MissingAtom(LookupError):
 
 
 class TooManyAtoms(ValueError):
-    """Truth-table check refused: atom count above the configured bound."""
+    """Truth-table check refused: more than MAX_TABLE_ATOMS atoms."""
 
 
 class InconsistentInput(ValueError):
@@ -530,12 +531,12 @@ def formula_to_literal(f: Formula) -> Literal:
     raise ValueError(f"not a literal: {format_formula(f)}")
 
 
-def tautology_truth_table(f: Formula, max_atoms: int = 24) -> bool:
+def tautology_truth_table(f: Formula) -> bool:
     """Exhaustive truth-table check that f holds under every assignment."""
     names = sorted(atoms(f))
-    if len(names) > max_atoms:
+    if len(names) > MAX_TABLE_ATOMS:
         raise TooManyAtoms(
-            f"{len(names)} atoms exceeds the bound of {max_atoms}")
+            f"{len(names)} atoms exceeds the bound of {MAX_TABLE_ATOMS}")
     for values in product((False, True), repeat=len(names)):
         interp = Interpretation.of(dict(zip(names, values)))
         if not eval_under_interpretation(f, interp):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .engine import check_full
+from .engine import run_check
 from .formula import (Formula, Interpretation, State, atoms, format_formula,
                       tautology_truth_table)
 from .net import enumerate_traces
@@ -100,7 +100,7 @@ def verify_reduction_steps(f: Formula) -> ReductionCheck:
         for tr in traces for s in tr.states()[1:])
 
     taut = tautology_truth_table(f)
-    full = check_full(inst.model, inst.rules).verdict
+    full = run_check(inst.model, inst.rules, "full").verdict
     return ReductionCheck(
         formula=format_formula(f),
         atom_count=len(names),

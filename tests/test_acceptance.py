@@ -8,7 +8,7 @@ import random
 from time import perf_counter
 
 from conftest import build_example_model
-from wfcheck.engine import check_full, check_non, check_partial, run_check
+from wfcheck.engine import run_check
 from wfcheck.fastpath import (full_compliant_fast, partial_compliant_fast,
                               require_single_local_literal,
                               trigger_transitions)
@@ -110,7 +110,7 @@ def test_criterion_2_reduction_equivalence():
     agreement = True
     for f in corpus:
         instance = build_interpretation_model(f)
-        verdict = check_full(instance.model, instance.rules).verdict
+        verdict = run_check(instance.model, instance.rules, "full").verdict
         agreement &= verdict == tautology_truth_table(f)
     elapsed = perf_counter() - start
     _report(2, "reduction equivalence",
@@ -193,9 +193,9 @@ def test_criterion_6_fastpath_differential():
         model, rules = generate_instance(cfg)
         o = require_single_local_literal(rules)
         agreement &= (partial_compliant_fast(model, o, and_cap=10 ** 6)
-                      == check_partial(model, rules).verdict)
+                      == run_check(model, rules, "partial").verdict)
         agreement &= (full_compliant_fast(model, o, and_cap=10 ** 6)
-                      == check_full(model, rules).verdict)
+                      == run_check(model, rules, "full").verdict)
     elapsed = perf_counter() - start
     _report(6, "fast-path differential", agreement and elapsed < 30)
 
@@ -221,7 +221,7 @@ def test_criterion_7_trigger_screening_property():
         if not _every_trigger_brute_satisfiable(model, rules.obligations[0]):
             continue
         collected += 1
-        if not check_partial(model, rules).verdict:
+        if not run_check(model, rules, "partial").verdict:
             violations += 1
     _report(7, "screened triggers imply a compliant run",
             collected == 300 and violations == 0)
@@ -239,9 +239,9 @@ def test_criterion_8_compliance_relations():
         cfg = GeneratorConfig(seed=seed, max_tasks=8, atom_pool=4,
                               variant=ALL_VARIANTS[seed % 8])
         model, rules = generate_instance(cfg)
-        full = check_full(model, rules).verdict
-        partial = check_partial(model, rules).verdict
-        non = check_non(model, rules).verdict
+        full = run_check(model, rules, "full").verdict
+        partial = run_check(model, rules, "partial").verdict
+        non = run_check(model, rules, "non").verdict
         ok &= (not full or partial) and (non == (not partial))
     _report(8, "compliance relations", ok)
 
@@ -264,7 +264,7 @@ def _render_everything(jobs: int) -> bytes:
     for n in (1, 2, 3):
         instance = build_interpretation_model(_excluded_middle(n))
         chunks.append(format_report(
-            check_full(instance.model, instance.rules)))
+            run_check(instance.model, instance.rules, "full")))
         chunks.append(repr(verify_reduction_steps(_excluded_middle(n))))
     for seed in range(20):
         cfg = GeneratorConfig(seed=seed, max_tasks=8, atom_pool=4,

@@ -10,8 +10,7 @@ from strategies import any_obligations, linear_traces, literals, \
 from test_obligations import CountingCache
 
 from wfcheck import engine, fastpath
-from wfcheck.engine import (check_full, check_non, check_partial, run_check,
-                            trace_complies)
+from wfcheck.engine import run_check, trace_complies
 from wfcheck.fastpath import WrongVariant
 from wfcheck.formula import Literal, State, eval_formula, parse_formula
 from wfcheck.net import DEFAULT_CAP, ExecutionCapExceeded, derive_trace, \
@@ -52,36 +51,38 @@ class TestTraceComplies:
 class TestCheckFull:
     def test_excluded_middle_reduction_fully_complies(self):
         inst = build_interpretation_model(parse_formula("a | !a"))
-        report = check_full(inst.model, inst.rules)
+        report = run_check(inst.model, inst.rules, "full")
         assert report.verdict
         assert report.witness is None
         assert report.traces_examined == 2
 
     def test_contingent_reduction_fails_with_witness(self):
         inst = build_interpretation_model(parse_formula("a"))
-        report = check_full(inst.model, inst.rules)
+        report = run_check(inst.model, inst.rules, "full")
         assert not report.verdict
         assert Literal("a", False) in report.witness.states[-1]
 
     def test_unannotated_model_meets_true_requirement(self):
         m = validate(seq(task("t1"), task("t2")), name="plain")
-        assert check_full(m, rules(("maintenance", "true"))).verdict
+        assert run_check(m, rules(("maintenance", "true")), "full").verdict
 
     def test_violation_short_circuits(self, example_model):
-        report = check_full(example_model, rules(("achievement", "b", "a", "d")))
+        report = run_check(example_model,
+                           rules(("achievement", "b", "a", "d")), "full")
         assert not report.verdict
         assert report.traces_examined == 1
         assert report.witness.execution == ("start", "t1", "t3", "t4", "end")
 
     def test_cap_is_enforced(self, example_model):
         with pytest.raises(ExecutionCapExceeded):
-            check_full(example_model, rules(("maintenance", "true")), cap=3)
+            run_check(example_model, rules(("maintenance", "true")), "full",
+                      cap=3)
 
 
 class TestCheckPartial:
     def test_example_model_avoids_the_trigger(self, example_model):
-        report = check_partial(example_model,
-                               rules(("achievement", "b", "a", "d")))
+        report = run_check(example_model,
+                           rules(("achievement", "b", "a", "d")), "partial")
         assert report.verdict
         assert report.witness.execution == ("start", "t2", "t3", "t4", "end")
         assert report.witness.states[-1] == State.of("-a", "b", "c", "d")
@@ -91,10 +92,11 @@ class TestCheckPartial:
         # the empty state right after start already falsifies a global
         # maintenance requirement, so not even the all-true branch complies
         inst = build_interpretation_model(parse_formula("a"))
-        assert not check_partial(inst.model, inst.rules).verdict
+        assert not run_check(inst.model, inst.rules, "partial").verdict
 
     def test_false_requirement_never_complies(self, example_model):
-        report = check_partial(example_model, rules(("maintenance", "false")))
+        report = run_check(example_model, rules(("maintenance", "false")),
+                           "partial")
         assert not report.verdict
         assert report.witness is None
         assert report.traces_examined == 4
@@ -103,24 +105,26 @@ class TestCheckPartial:
 class TestCheckNon:
     def test_negates_partial(self, example_model):
         rs = rules(("achievement", "b"))
-        partial = check_partial(example_model, rs)
-        non = check_non(example_model, rs)
+        partial = run_check(example_model, rs, "partial")
+        non = run_check(example_model, rs, "non")
         assert non.verdict == (not partial.verdict)
         assert non.witness == partial.witness
 
     def test_false_requirement_is_non_compliant(self, example_model):
-        assert check_non(example_model, rules(("maintenance", "false"))).verdict
+        assert run_check(example_model, rules(("maintenance", "false")),
+                         "non").verdict
 
     def test_example_model_contains_b_traces(self, example_model):
-        assert not check_non(example_model, rules(("achievement", "b"))).verdict
+        assert not run_check(example_model, rules(("achievement", "b")),
+                             "non").verdict
 
 
 @settings(max_examples=30)
 @given(models(max_tasks=6), rule_sets())
 def test_compliance_relations(m, rs):
-    full = check_full(m, rs)
-    partial = check_partial(m, rs)
-    non = check_non(m, rs)
+    full = run_check(m, rs, "full")
+    partial = run_check(m, rs, "partial")
+    non = run_check(m, rs, "non")
     if full.verdict:
         assert partial.verdict
     assert non.verdict == (not partial.verdict)
@@ -133,8 +137,8 @@ def test_witnesses_replay_and_exhibit_the_property(m, rs):
     for ex in enumerate_executions(m):
         tr = derive_trace(m, ex)
         traces[tr.task_ids()] = tr
-    for report, expected in ((check_full(m, rs), False),
-                             (check_partial(m, rs), True)):
+    for report, expected in ((run_check(m, rs, "full"), False),
+                             (run_check(m, rs, "partial"), True)):
         if report.witness is None:
             continue
         tr = traces[report.witness.execution]
@@ -277,7 +281,7 @@ class TestMonitors:
             self, monkeypatch):
         m = xor_chain(12)
         caches = counting_caches(monkeypatch)
-        report = check_partial(m, rules(("achievement", "b", "a", "d")))
+        report = run_check(m, rules(("achievement", "b", "a", "d")), "partial")
         assert not report.verdict and report.traces_examined == 2 ** 12
         (cache,) = caches
         # a requirement and a deadline per edge, triggers once per task;
@@ -291,7 +295,7 @@ class TestMonitors:
         text = f"({' | '.join(names)}) & !(a & !a)"
         inst = build_interpretation_model(parse_formula(text))
         caches = counting_caches(monkeypatch)
-        report = check_non(inst.model, inst.rules)
+        report = run_check(inst.model, inst.rules, "non")
         # the empty state after start already fails the requirement, so
         # no run complies and none is listed
         assert (report.verdict, report.witness, report.traces_examined) \

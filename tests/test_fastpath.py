@@ -12,7 +12,7 @@ from test_engine import reference_report
 
 from wfcheck import fastpath, formula
 from wfcheck.bench import _and_chains
-from wfcheck.engine import check_full, check_partial, run_check
+from wfcheck.engine import run_check
 from wfcheck.fastpath import (TriggerAnalysis, WrongVariant, erase,
                               full_compliant_fast, instance_satisfiable,
                               instance_violable, label_triggers,
@@ -142,9 +142,9 @@ class TestMaskReading:
                 o = lit_rule(kind, rho, tau, delta)
                 rs = RuleSet((o,))
                 assert partial_compliant_fast(m, o) \
-                    == check_partial(m, rs).verdict, o
+                    == run_check(m, rs, "partial").verdict, o
                 assert full_compliant_fast(m, o) \
-                    == check_full(m, rs).verdict, o
+                    == run_check(m, rs, "full").verdict, o
 
     def test_queries_number_no_atom(self, example_model):
         before = dict(formula._BITS)
@@ -340,7 +340,7 @@ class TestWholeModelChecks:
         assert instance_satisfiable(m, o, x1)
         assert not instance_satisfiable(m, o, x2)
         assert not partial_compliant_fast(m, o)
-        assert not check_partial(m, RuleSet((o,))).verdict
+        assert not run_check(m, RuleSet((o,)), "partial").verdict
 
     def test_individually_satisfiable_triggers_can_still_conflict(self):
         # both triggers can be satisfied, but never in the same run: x1
@@ -356,7 +356,7 @@ class TestWholeModelChecks:
         x1, x2 = trigger_transitions(m, o)
         assert instance_satisfiable(m, o, x1)
         assert instance_satisfiable(m, o, x2)
-        assert not check_partial(m, RuleSet((o,))).verdict
+        assert not run_check(m, RuleSet((o,)), "partial").verdict
         assert not partial_compliant_fast(m, o)
 
     # a choice with a quiet branch keeps skipping as an option: q sets
@@ -377,8 +377,8 @@ class TestWholeModelChecks:
             fast_full = full_compliant_fast(m, o)
         except ExecutionCapExceeded:
             assume(False)
-        assert fast_partial == check_partial(m, rs).verdict
-        assert fast_full == check_full(m, rs).verdict
+        assert fast_partial == run_check(m, rs, "partial").verdict
+        assert fast_full == run_check(m, rs, "full").verdict
 
 
 def chains_model(length):
@@ -423,8 +423,10 @@ class TestScaling:
             partial_compliant_fast(m, o, and_cap=100)
         assert (err.value.count, err.value.cap) == (101, 100)
         rs = RuleSet((o,))
-        assert partial_compliant_fast(m, o) == check_partial(m, rs).verdict
-        assert full_compliant_fast(m, o) == check_full(m, rs).verdict
+        assert (partial_compliant_fast(m, o)
+                == run_check(m, rs, "partial").verdict)
+        assert (full_compliant_fast(m, o)
+                == run_check(m, rs, "full").verdict)
 
     def test_equal_residuals_are_one_pair(self):
         # 127 pairs when each residual the search builds is one object;
@@ -581,8 +583,10 @@ class TestQuietSkip:
                          xor(seq(task("r"), task("s", "-c")),
                              task("y", "d"))), name="choices")
         rs = RuleSet((o,))
-        assert partial_compliant_fast(m, o) == check_partial(m, rs).verdict
-        assert full_compliant_fast(m, o) == check_full(m, rs).verdict
+        assert (partial_compliant_fast(m, o)
+                == run_check(m, rs, "partial").verdict)
+        assert (full_compliant_fast(m, o)
+                == run_check(m, rs, "full").verdict)
         TestInstanceAnalysis.assert_agrees_with_trace_enumeration(m, o)
         with pytest.raises(AssertionError, match="no and-block"):
             partial_compliant_fast(validate(seq(

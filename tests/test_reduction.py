@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import formulas
 
-from wfcheck.engine import check_full
+from wfcheck.engine import run_check
 from wfcheck.formula import State, atoms, parse_formula, tautology_truth_table
 from wfcheck.obligations import classify_variant
 from wfcheck.process import count_executions
@@ -61,8 +61,8 @@ class TestConstruction:
         default = build_interpretation_model(f)
         flipped = build_interpretation_model(f, atom_order=("c", "b", "a"))
         assert [t.id for t in flipped.model.tasks()][2:4] == ["c_pos", "c_neg"]
-        assert (check_full(default.model, default.rules).verdict
-                == check_full(flipped.model, flipped.rules).verdict)
+        assert (run_check(default.model, default.rules, "full").verdict
+                == run_check(flipped.model, flipped.rules, "full").verdict)
 
 
 class TestVerifySteps:
@@ -97,5 +97,5 @@ class TestVerifySteps:
         names = sorted(atoms(f))
         rng.shuffle(names)
         shuffled = build_interpretation_model(f, atom_order=tuple(names))
-        assert (check_full(shuffled.model, shuffled.rules).verdict
+        assert (run_check(shuffled.model, shuffled.rules, "full").verdict
                 == tautology_truth_table(f))
