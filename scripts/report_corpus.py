@@ -12,9 +12,12 @@ engine, brute with --strict-deadline, and the fast engine) and of
 - the interpretation models of four reduction formulas.
 
 Then, on 250 generated 1L- instances (seeds 0-249, max_tasks=10,
-atom_pool=6), it prints the fast engine's answers: label_triggers,
-instance_satisfiable and instance_violable for every trigger, and fast
-partial and full compliance.
+atom_pool=6), it prints the fast engine's answers: label_triggers and,
+for every trigger, whether its interval can be satisfied and violated
+(``outcomes`` given the trigger), and fast partial and full compliance
+(``outcomes`` over the whole rule).  ``instance_satisfiable`` prints
+whether ``True`` is among a trigger's outcomes, ``instance_violable``
+whether ``False`` is.
 
 Cases are printed by name, never by file path, so the output depends on
 the code alone.  tests/report_corpus.sha256 holds the sha256 of this
@@ -29,9 +32,7 @@ import tempfile
 from pathlib import Path
 
 from wfcheck.cli import main as cli_main
-from wfcheck.fastpath import (full_compliant_fast, instance_satisfiable,
-                              instance_violable, label_triggers,
-                              partial_compliant_fast)
+from wfcheck.fastpath import label_triggers, outcomes
 from wfcheck.fileio import dump_model, dump_rules
 from wfcheck.formula import parse_formula
 from wfcheck.generate import GeneratorConfig, generate_instance
@@ -77,12 +78,13 @@ def fast_cases(seed: int, out: list[str]) -> None:
     o = rules.obligations[0]
     out.append(f"$ fast 1L- seed {seed}\n")
     for label in label_triggers(model, o):
-        x = label.task
-        out.append(f"trigger {x.id}: satisfiable {label.satisfiable}, "
-                   f"instance_satisfiable {instance_satisfiable(model, o, x)}"
-                   f", instance_violable {instance_violable(model, o, x)}\n")
-    out.append(f"partial {partial_compliant_fast(model, o)}, "
-               f"full {full_compliant_fast(model, o)}\n")
+        interval = outcomes(model, o, label.task)
+        out.append(f"trigger {label.task.id}: satisfiable "
+                   f"{label.satisfiable}, instance_satisfiable "
+                   f"{True in interval}, instance_violable "
+                   f"{False in interval}\n")
+    whole = outcomes(model, o)
+    out.append(f"partial {True in whole}, full {False not in whole}\n")
 
 
 def generated_models():

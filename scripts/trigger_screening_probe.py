@@ -21,7 +21,7 @@ Usage: python scripts/trigger_screening_probe.py [--samples 2000] [--seed 0]
 """
 import argparse
 
-from wfcheck.fastpath import (erase, label_triggers, partial_compliant_fast,
+from wfcheck.fastpath import (erase, label_triggers, outcomes,
                               require_single_local_literal)
 from wfcheck.formula import parse_formula
 from wfcheck.generate import GeneratorConfig, generate_instance
@@ -60,7 +60,7 @@ def screening_says_compliant(model, rule) -> bool:
 
 def show(model, rule) -> None:
     labels = label_triggers(model, rule)
-    verdict = partial_compliant_fast(model, rule)
+    verdict = True in outcomes(model, rule)
     print(f"\n{model.name}:")
     for t in labels:
         print(f"  trigger {t.task.id}: "
@@ -93,7 +93,7 @@ def sweep(samples: int, first_seed: int) -> None:
         model, rules = generate_instance(cfg)
         rule = require_single_local_literal(rules)
         screened = screening_says_compliant(model, rule)
-        exact = partial_compliant_fast(model, rule, and_cap=10 ** 6)
+        exact = True in outcomes(model, rule, and_cap=10 ** 6)
         if screened and not exact:
             gaps += 1
             print(f"  seed {seed}: screening true, exact verdict false "

@@ -1,10 +1,8 @@
 """Compliance checking for block-structured workflow models."""
 
 from .engine import ComplianceReport, Witness, run_check, trace_complies
-from .fastpath import (TriggerAnalysis, WrongVariant, erase,
-                       full_compliant_fast, instance_satisfiable,
-                       instance_violable, label_triggers,
-                       partial_compliant_fast)
+from .fastpath import (TriggerAnalysis, WrongVariant, erase, label_triggers,
+                       outcomes)
 from .fileio import (dump_model, dump_rules, format_report, load_model,
                      load_rules)
 from .formula import (EMPTY_STATE, Literal, State, eval_formula,

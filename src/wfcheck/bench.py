@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import DEFAULT_CAP, run_check
-from .fastpath import full_compliant_fast, partial_compliant_fast
 from .formula import And, Atom, Formula, Not, Or, State
 from .obligations import Kind, Obligation, RuleSet
-from .process import AndBlock, Seq, Task, Xor, count_executions, validate
+from .process import (AndBlock, Model, Seq, Task, Xor, count_executions,
+                      validate)
 from .reduction import build_interpretation_model
 
 CSV_HEADER = ("instance", "engine", "n", "wall_ms", "traces", "verdict")
@@ -53,22 +53,23 @@ def _excluded_middle(n: int) -> Formula:
     return f
 
 
-def _timed(fn):
+def _record(instance: str, n: int, model: Model, rules: RuleSet, mode: str,
+            engine: str = "brute", cap: int = DEFAULT_CAP) -> BenchRecord:
+    """One row: run_check timed on one instance."""
     start = time.perf_counter()
-    result = fn()
-    return result, (time.perf_counter() - start) * 1000.0
+    report = run_check(model, rules, mode, engine=engine, cap=cap)
+    ms = (time.perf_counter() - start) * 1000.0
+    return BenchRecord(instance, engine, n, ms, report.traces_examined,
+                       report.verdict)
 
 
 def _reduction_records(n_min: int, n_max: int) -> list[BenchRecord]:
     records = []
     for n in range(n_min, n_max + 1):
         instance = build_interpretation_model(_excluded_middle(n))
-        cap = max(DEFAULT_CAP, 2 ** n + 1)
-        report, ms = _timed(
-            lambda: run_check(instance.model, instance.rules, "full",
-                              cap=cap))
-        records.append(BenchRecord(f"reduction-n{n}", "brute", n, ms,
-                                   report.traces_examined, report.verdict))
+        records.append(_record(f"reduction-n{n}", n, instance.model,
+                               instance.rules, "full",
+                               cap=max(DEFAULT_CAP, 2 ** n + 1)))
     return records
 
 
@@ -91,14 +92,11 @@ def _fastpath_records(n_min: int, n_max: int) -> list[BenchRecord]:
     records = []
     for n in range(n_min, n_max + 1):
         model, rule = _xor_chain(n)
-        cap = max(DEFAULT_CAP, 2 ** n + 1)
-        report, brute_ms = _timed(
-            lambda: run_check(model, RuleSet((rule,)), "partial", cap=cap))
-        records.append(BenchRecord(f"fastpath-n{n}", "brute", n, brute_ms,
-                                   report.traces_examined, report.verdict))
-        verdict, fast_ms = _timed(lambda: partial_compliant_fast(model, rule))
-        records.append(BenchRecord(f"fastpath-n{n}", "fast", n, fast_ms,
-                                   0, verdict))
+        rules = RuleSet((rule,))
+        records.append(_record(f"fastpath-n{n}", n, model, rules, "partial",
+                               cap=max(DEFAULT_CAP, 2 ** n + 1)))
+        records.append(_record(f"fastpath-n{n}", n, model, rules, "partial",
+                               "fast"))
     return records
 
 
@@ -124,15 +122,12 @@ def _parallel_records(n_min: int, n_max: int) -> list[BenchRecord]:
     records = []
     for n in range(n_min, n_max + 1):
         model, rule = _and_chains(n)
+        rules = RuleSet((rule,))
         if count_executions(model.root) <= DEFAULT_CAP:
-            report, brute_ms = _timed(
-                lambda: run_check(model, RuleSet((rule,)), "full"))
-            records.append(BenchRecord(f"parallel-n{n}", "brute", n,
-                                       brute_ms, report.traces_examined,
-                                       report.verdict))
-        verdict, fast_ms = _timed(lambda: full_compliant_fast(model, rule))
-        records.append(BenchRecord(f"parallel-n{n}", "fast", n, fast_ms,
-                                   0, verdict))
+            records.append(_record(f"parallel-n{n}", n, model, rules,
+                                   "full"))
+        records.append(_record(f"parallel-n{n}", n, model, rules, "full",
+                               "fast"))
     return records
 
 

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fastpath import (full_compliant_fast, partial_compliant_fast,
-                       require_single_local_literal)
+from .fastpath import outcomes, require_single_local_literal
 from .formula import EMPTY_STATE, State, update
 from .net import DEFAULT_CAP, Trace, walk_runs
 from .obligations import (MONITOR_DEAD, RuleSet, SatCache, eval_obligation,
@@ -124,9 +123,7 @@ def run_check(model: Model, rules: RuleSet, mode: str, engine: str = "brute",
         if strict_deadline:
             raise ValueError("--strict-deadline needs the brute engine")
         obligation = require_single_local_literal(rules)
-        exists = (partial_compliant_fast(model, obligation, and_cap=cap)
-                  if want else
-                  not full_compliant_fast(model, obligation, and_cap=cap))
+        exists = want in outcomes(model, obligation, and_cap=cap)
         witness, examined = None, 0
     return ComplianceReport(mode=mode, verdict=exists == (mode == "partial"),
                             witness=witness, traces_examined=examined,

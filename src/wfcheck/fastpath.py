@@ -16,11 +16,13 @@ one search once.  The search is refused when it explores more pairs than
 a cap, so its budget follows its cost, not the block's run count;
 choice-heavy models — where brute force blows up — stay polynomial.
 
-Every query steps that monitor for a set of trigger tasks.  With every
-trigger task in the set, the carries that runs end in decide partial and
-full compliance exactly.  With the set {x}, the endings of the runs where
-x fired tell whether x's interval can be satisfied or violated.  A query
-walks the model's task list once to find the trigger tasks;
+The one query, ``outcomes``, steps that monitor for a set of trigger
+tasks and returns the outcomes the runs can end in.  With every trigger
+task in the set, they are whether the rule is satisfied, over all runs:
+``True in`` them is partial compliance, ``False not in`` them full.  With
+a trigger task x, the set is {x}, and the endings of the runs where x
+fired are whether x's interval is satisfied, over the runs containing x.
+A query walks the model's task list once to find the trigger tasks;
 ``label_triggers`` shares that walk among its triggers.
 
 The structural `erase` operation removes tasks from a model such that the
@@ -209,55 +211,31 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
                   and_cap)
 
 
-def _interval_outcomes(m: Model, o: Obligation, x: Task,
-                       triggers: dict[str, Task], and_cap: int) -> set[bool]:
-    """Whether x's interval is satisfied, over the runs containing x;
-    ``triggers`` are ``_scan_tasks``'s."""
-    if x.id not in triggers:
+def _outcomes(m: Model, o: Obligation, triggers: dict[str, Task],
+              x: Task | None, and_cap: int) -> frozenset[bool]:
+    """``outcomes`` over ``_scan_tasks``'s triggers."""
+    if x is not None and x.id not in triggers:
         raise ValueError(f"{x.id!r} is not a trigger task of this rule")
-    return {monitor_complies(mark, o.kind)
-            for _, mark, fired in _endings(m, o, frozenset((x.id,)), and_cap)
-            if fired}
+    trigger_ids = frozenset(triggers if x is None else (x.id,))
+    return frozenset(monitor_complies(mark, o.kind)
+                     for _, mark, fired in _endings(m, o, trigger_ids,
+                                                    and_cap)
+                     if fired or x is None)
 
 
-def _run_outcomes(m: Model, o: Obligation, and_cap: int) -> set[bool]:
-    """Whether o is satisfied, over all runs of m."""
-    return {monitor_complies(mark, o.kind)
-            for _, mark, _ in _endings(m, o, frozenset(_scan_tasks(m, o)),
-                                       and_cap)}
-
-
-def instance_satisfiable(m: Model, o: Obligation, x: Task,
-                         and_cap: int = DEFAULT_CAP) -> bool:
-    """Can some run containing x satisfy the interval x opens?"""
-    return True in _interval_outcomes(m, o, x, _scan_tasks(m, o), and_cap)
-
-
-def instance_violable(m: Model, o: Obligation, x: Task,
-                      and_cap: int = DEFAULT_CAP) -> bool:
-    """Can some run containing x violate the interval x opens?"""
-    return False in _interval_outcomes(m, o, x, _scan_tasks(m, o), and_cap)
+def outcomes(m: Model, o: Obligation, x: Task | None = None,
+             and_cap: int = DEFAULT_CAP) -> frozenset[bool]:
+    """Whether o is satisfied, over every run of m; given a trigger task x,
+    whether x's interval is satisfied, over the runs that contain x."""
+    return _outcomes(m, o, _scan_tasks(m, o), x, and_cap)
 
 
 def label_triggers(m: Model, o: Obligation,
                    and_cap: int = DEFAULT_CAP) -> list[TriggerAnalysis]:
     """Per-trigger satisfiability labelling, in declaration order."""
     triggers = _scan_tasks(m, o)
-    return [TriggerAnalysis(x, True in _interval_outcomes(
-                m, o, x, triggers, and_cap))
+    return [TriggerAnalysis(x, True in _outcomes(m, o, triggers, x, and_cap))
             for x in triggers.values()]
-
-
-def partial_compliant_fast(m: Model, o: Obligation,
-                           and_cap: int = DEFAULT_CAP) -> bool:
-    """True iff some run satisfies every interval it opens."""
-    return True in _run_outcomes(m, o, and_cap)
-
-
-def full_compliant_fast(m: Model, o: Obligation,
-                        and_cap: int = DEFAULT_CAP) -> bool:
-    """True iff every run satisfies every interval it opens."""
-    return False not in _run_outcomes(m, o, and_cap)
 
 
 def _erase_block(block: ProcessBlock,

@@ -187,10 +187,10 @@ class State:
 
     Every construction checks consistency.  Equality reads both masks,
     closed-world truth only ``pos``.  States are not to be mutated; each
-    caches its sorted literals and its text on first use.
+    caches its text on first use.
     """
 
-    __slots__ = ("pos", "neg", "_sorted", "_text")
+    __slots__ = ("pos", "neg", "_text")
 
     def __new__(cls, literals: Iterable[Literal] = ()) -> "State":
         pos = neg = 0
@@ -211,11 +211,8 @@ class State:
                          for i in _indices(self.pos | self.neg))
 
     def sorted_literals(self) -> list[Literal]:
-        try:
-            return list(self._sorted)
-        except AttributeError:  # atoms are distinct in a consistent state
-            self._sorted = tuple(sorted(self, key=lambda l: l.atom))
-            return list(self._sorted)
+        # atoms are distinct in a consistent state
+        return sorted(self, key=lambda l: l.atom)
 
     def __contains__(self, lit: object) -> bool:
         if not isinstance(lit, Literal):

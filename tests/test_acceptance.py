@@ -9,8 +9,7 @@ from time import perf_counter
 
 from conftest import build_example_model
 from wfcheck.engine import run_check
-from wfcheck.fastpath import (full_compliant_fast, partial_compliant_fast,
-                              require_single_local_literal,
+from wfcheck.fastpath import (outcomes, require_single_local_literal,
                               trigger_transitions)
 from wfcheck.fileio import format_report
 from wfcheck.formula import (And, Atom, Formula, Implies, Literal, Not, Or,
@@ -192,9 +191,9 @@ def test_criterion_6_fastpath_differential():
                               variant=LOCAL_LITERAL)
         model, rules = generate_instance(cfg)
         o = require_single_local_literal(rules)
-        agreement &= (partial_compliant_fast(model, o, and_cap=10 ** 6)
+        agreement &= ((True in outcomes(model, o, and_cap=10 ** 6))
                       == run_check(model, rules, "partial").verdict)
-        agreement &= (full_compliant_fast(model, o, and_cap=10 ** 6)
+        agreement &= ((False not in outcomes(model, o, and_cap=10 ** 6))
                       == run_check(model, rules, "full").verdict)
     elapsed = perf_counter() - start
     _report(6, "fast-path differential", agreement and elapsed < 30)

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 from conftest import build_example_model
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import any_obligations, linear_traces, literals, \
     make_trace, models, rule_sets
@@ -261,11 +261,18 @@ def xor_chain(n):
     return validate(seq(task("x", "a"), *choices, task("z", "d")))
 
 
+STRICT_LATE = rules(("achievement", "b", "a", "d")).obligations[0]
+
+
 class TestMonitors:
     @settings(max_examples=150)
     @given(linear_traces(max_len=12), any_obligations(), st.booleans(),
            st.builds(Obligation, st.sampled_from(Kind), LITERAL_FIELDS,
                      LITERAL_FIELDS, LITERAL_FIELDS))
+    # d holds before the trigger a: b arrives in time by default, but the
+    # strict reading has seen the deadline already
+    @example(make_trace(("t1", "d"), ("t2", "-d", "a"), ("t3", "b")),
+             STRICT_LATE, True, STRICT_LATE)
     def test_monitor_verdict_equals_the_reference(self, tr, o, strict,
                                                   literal_rule):
         # global and local rules of both kinds; strict only changes local

@@ -12,11 +12,9 @@ from test_engine import reference_report
 
 from wfcheck import fastpath, formula
 from wfcheck.bench import _and_chains
-from wfcheck.engine import run_check
+from wfcheck.engine import run_check, trace_complies
 from wfcheck.fastpath import (TriggerAnalysis, WrongVariant, erase,
-                              full_compliant_fast, instance_satisfiable,
-                              instance_violable, label_triggers,
-                              partial_compliant_fast,
+                              label_triggers, outcomes,
                               require_single_local_literal,
                               trigger_transitions)
 from wfcheck.formula import (Or, atom_bit, eval_formula, parse_formula,
@@ -141,9 +139,9 @@ class TestMaskReading:
             for rho, tau, delta in itertools.product(("a", "!a"), repeat=3):
                 o = lit_rule(kind, rho, tau, delta)
                 rs = RuleSet((o,))
-                assert partial_compliant_fast(m, o) \
+                assert (True in outcomes(m, o)) \
                     == run_check(m, rs, "partial").verdict, o
-                assert full_compliant_fast(m, o) \
+                assert (False not in outcomes(m, o)) \
                     == run_check(m, rs, "full").verdict, o
 
     def test_queries_number_no_atom(self, example_model):
@@ -151,10 +149,9 @@ class TestMaskReading:
         for o in (lit_rule("achievement", UNMENTIONED, "a", "d"),
                   lit_rule("maintenance", "b", f"!{UNMENTIONED}",
                            UNMENTIONED)):
-            partial_compliant_fast(example_model, o)
-            full_compliant_fast(example_model, o)
+            outcomes(example_model, o)
             for x in label_triggers(example_model, o):
-                instance_violable(example_model, o, x.task)
+                outcomes(example_model, o, x.task)
         assert formula._BITS == before
         assert atom_bit(UNMENTIONED) == 0
 
@@ -163,35 +160,35 @@ class TestInstanceAnalysis:
     def test_unreachable_requirement_before_deadline(self, example_model):
         o = lit_rule("achievement", "b", "a", "d")
         (x,) = trigger_transitions(example_model, o)
-        assert not instance_satisfiable(example_model, o, x)
-        assert instance_violable(example_model, o, x)
+        assert True not in outcomes(example_model, o, x)
+        assert False in outcomes(example_model, o, x)
 
     def test_requirement_arriving_with_the_deadline(self, example_model):
         o = lit_rule("achievement", "d", "a", "b")
         (x,) = trigger_transitions(example_model, o)
-        assert instance_satisfiable(example_model, o, x)
-        assert not instance_violable(example_model, o, x)
+        assert True in outcomes(example_model, o, x)
+        assert False not in outcomes(example_model, o, x)
 
     def test_immediate_achievement_on_a_line(self):
         m = validate(seq(task("x", "a"), task("y", "b")), name="line")
         o = lit_rule("achievement", "b", "a", "d")
         (x,) = trigger_transitions(m, o)
-        assert instance_satisfiable(m, o, x)
+        assert True in outcomes(m, o, x)
         # the run never reaches d, so the final state closes the interval
         # with b already found; nothing can go wrong
-        assert not instance_violable(m, o, x)
+        assert False not in outcomes(m, o, x)
 
     def test_maintenance_trigger_equals_requirement(self, example_model):
         o = lit_rule("maintenance", "c", "c", "d")
         for x in trigger_transitions(example_model, o):
-            assert instance_satisfiable(example_model, o, x)
-            assert not instance_violable(example_model, o, x)
+            assert True in outcomes(example_model, o, x)
+            assert False not in outcomes(example_model, o, x)
 
     def test_non_trigger_task_rejected(self, example_model):
         o = lit_rule("achievement", "b", "a", "d")
         t4 = next(t for t in example_model.tasks() if t.id == "t4")
         with pytest.raises(ValueError):
-            instance_satisfiable(example_model, o, t4)
+            outcomes(example_model, o, t4)
 
     def test_labelling(self, example_model):
         o = lit_rule("achievement", "b", "a", "d")
@@ -201,15 +198,14 @@ class TestInstanceAnalysis:
     @staticmethod
     def assert_agrees_with_trace_enumeration(m, o):
         traces = [derive_trace(m, e) for e in enumerate_executions(m)]
+        assert outcomes(m, o) == {trace_complies(tr, RuleSet((o,)))
+                                  for tr in traces}
         labels = []
         for x in trigger_transitions(m, o):
             containing = [tr for tr in traces if x.id in tr.task_ids()]
-            sat = any(eval_restricted(tr, o, {x.id}) for tr in containing)
-            vio = any(not eval_restricted(tr, o, {x.id})
-                      for tr in containing)
-            assert instance_satisfiable(m, o, x) == sat
-            assert instance_violable(m, o, x) == vio
-            labels.append((x.id, sat))
+            interval = {eval_restricted(tr, o, {x.id}) for tr in containing}
+            assert outcomes(m, o, x) == interval
+            labels.append((x.id, True in interval))
         assert [(l.task.id, l.satisfiable)
                 for l in label_triggers(m, o)] == labels
 
@@ -307,24 +303,24 @@ class TestVariantGate:
 class TestWholeModelChecks:
     def test_example_partial_but_not_full(self, example_model):
         o = lit_rule("achievement", "b", "a", "d")
-        assert partial_compliant_fast(example_model, o)
-        assert not full_compliant_fast(example_model, o)
+        assert True in outcomes(example_model, o)
+        assert False in outcomes(example_model, o)
 
     def test_vacuous_without_triggers(self, example_model):
         o = lit_rule("achievement", "b", "e", "d")
-        assert partial_compliant_fast(example_model, o)
-        assert full_compliant_fast(example_model, o)
+        assert True in outcomes(example_model, o)
+        assert False not in outcomes(example_model, o)
 
     def test_trigger_satisfying_requirement_fully_complies(self,
                                                            example_model):
         o = lit_rule("achievement", "c", "c", "d")
-        assert full_compliant_fast(example_model, o)
+        assert False not in outcomes(example_model, o)
 
     def test_unavoidable_hopeless_trigger(self):
         m = validate(seq(task("x", "a"), task("y", "d")), name="doomed")
         o = lit_rule("achievement", "b", "a", "d")
-        assert not partial_compliant_fast(m, o)
-        assert not full_compliant_fast(m, o)
+        assert True not in outcomes(m, o)
+        assert False in outcomes(m, o)
 
     def test_screening_alone_cannot_decide_chained_triggers(self):
         # x2's interval fails in every run containing it, and the only
@@ -337,9 +333,9 @@ class TestWholeModelChecks:
         m = validate(body, name="chained")
         o = lit_rule("achievement", "b", "a", "d")
         x1, x2 = trigger_transitions(m, o)
-        assert instance_satisfiable(m, o, x1)
-        assert not instance_satisfiable(m, o, x2)
-        assert not partial_compliant_fast(m, o)
+        assert True in outcomes(m, o, x1)
+        assert True not in outcomes(m, o, x2)
+        assert True not in outcomes(m, o)
         assert not run_check(m, RuleSet((o,)), "partial").verdict
 
     def test_individually_satisfiable_triggers_can_still_conflict(self):
@@ -354,10 +350,10 @@ class TestWholeModelChecks:
         m = validate(body, name="conflict")
         o = lit_rule("achievement", "b", "a", "d")
         x1, x2 = trigger_transitions(m, o)
-        assert instance_satisfiable(m, o, x1)
-        assert instance_satisfiable(m, o, x2)
+        assert True in outcomes(m, o, x1)
+        assert True in outcomes(m, o, x2)
         assert not run_check(m, RuleSet((o,)), "partial").verdict
-        assert not partial_compliant_fast(m, o)
+        assert True not in outcomes(m, o)
 
     # a choice with a quiet branch keeps skipping as an option: q sets
     # nothing the rule reads, k breaks it
@@ -373,8 +369,8 @@ class TestWholeModelChecks:
     def test_differential_against_brute_force(self, m, o):
         rs = RuleSet((o,))
         try:
-            fast_partial = partial_compliant_fast(m, o)
-            fast_full = full_compliant_fast(m, o)
+            fast_partial = True in outcomes(m, o)
+            fast_full = False not in outcomes(m, o)
         except ExecutionCapExceeded:
             assume(False)
         assert fast_partial == run_check(m, rs, "partial").verdict
@@ -411,8 +407,8 @@ class TestScaling:
         o = lit_rule("achievement", "b", "a", "d")
         assert count_executions(m.root) == 2 ** 30
         started = time.perf_counter()
-        assert partial_compliant_fast(m, o)
-        assert not full_compliant_fast(m, o)
+        assert True in outcomes(m, o)
+        assert False in outcomes(m, o)
         assert time.perf_counter() - started < 1.0
 
     def test_and_blocks_are_refused_by_explored_pairs(self):
@@ -420,23 +416,22 @@ class TestScaling:
         with pytest.raises(ExecutionCapExceeded,
                            match=r"^101 explored \(residual, carry\) pairs "
                                  r"exceed the cap of 100$") as err:
-            partial_compliant_fast(m, o, and_cap=100)
+            outcomes(m, o, and_cap=100)
         assert (err.value.count, err.value.cap) == (101, 100)
         rs = RuleSet((o,))
-        assert (partial_compliant_fast(m, o)
+        assert ((True in outcomes(m, o))
                 == run_check(m, rs, "partial").verdict)
-        assert (full_compliant_fast(m, o)
+        assert ((False not in outcomes(m, o))
                 == run_check(m, rs, "full").verdict)
 
     def test_equal_residuals_are_one_pair(self):
         # 127 pairs when each residual the search builds is one object;
         # equal residuals built by two interleavings would count twice
         m, o = toggles_model()
-        for query in (partial_compliant_fast, full_compliant_fast):
-            assert query(m, o, and_cap=127)
-            with pytest.raises(ExecutionCapExceeded) as err:
-                query(m, o, and_cap=126)
-            assert err.value.count == 127
+        assert outcomes(m, o, and_cap=127) == {True}
+        with pytest.raises(ExecutionCapExceeded) as err:
+            outcomes(m, o, and_cap=126)
+        assert err.value.count == 127
 
     def test_quiet_tasks_need_no_budget(self):
         # every task leaves the rule's bits alone, so the quiet tasks are
@@ -448,17 +443,17 @@ class TestScaling:
                         for k in range(1, 8))), 5040 * 2 ** 7)]:
             m = validate(body, name="fanout")
             assert count_executions(m.body) == runs
-            assert partial_compliant_fast(m, o, and_cap=1)
-            assert full_compliant_fast(m, o, and_cap=1)
+            assert True in outcomes(m, o, and_cap=1)
+            assert False not in outcomes(m, o, and_cap=1)
 
     def test_fast_queries_default_to_the_check_cap(self):
         # 34,650 runs: within the cap that run_check and the CLI pass
         m, o = chains_model(4)
         assert count_executions(m.body) == 34_650
         rs = RuleSet((o,))
-        assert partial_compliant_fast(m, o) == run_check(
+        assert (True in outcomes(m, o)) == run_check(
             m, rs, "partial", engine="fast").verdict
-        assert full_compliant_fast(m, o) == run_check(
+        assert (False not in outcomes(m, o)) == run_check(
             m, rs, "full", engine="fast").verdict
 
     def test_noisy_chains_are_answered_within_the_default_budget(self):
@@ -466,16 +461,16 @@ class TestScaling:
         m, o = _and_chains(5)
         assert count_executions(m.body) == 623_360_743_125_120
         started = time.perf_counter()
-        assert partial_compliant_fast(m, o)
-        assert not full_compliant_fast(m, o)
+        assert True in outcomes(m, o)
+        assert False in outcomes(m, o)
         assert time.perf_counter() - started < 2.0
 
     def test_parallel_chains_explore_states_not_interleavings(self):
         m, o = chains_model(5)
         assert count_executions(m.body) == 756_756
         started = time.perf_counter()
-        assert partial_compliant_fast(m, o, and_cap=10 ** 6)
-        assert not full_compliant_fast(m, o, and_cap=10 ** 6)
+        assert True in outcomes(m, o, and_cap=10 ** 6)
+        assert False in outcomes(m, o, and_cap=10 ** 6)
         assert time.perf_counter() - started < 2.0
 
 
@@ -519,9 +514,9 @@ class TestPartialOrderReduction:
             while count_executions(m.root) > 400:
                 m, o = and_heavy_instance(rng)
             rs = RuleSet((o,))
-            assert partial_compliant_fast(m, o) \
+            assert (True in outcomes(m, o)) \
                 == reference_report(m, rs, "partial", False)[0]
-            assert full_compliant_fast(m, o) \
+            assert (False not in outcomes(m, o)) \
                 == reference_report(m, rs, "full", False)[0]
             TestInstanceAnalysis.assert_agrees_with_trace_enumeration(m, o)
 
@@ -583,13 +578,13 @@ class TestQuietSkip:
                          xor(seq(task("r"), task("s", "-c")),
                              task("y", "d"))), name="choices")
         rs = RuleSet((o,))
-        assert (partial_compliant_fast(m, o)
+        assert ((True in outcomes(m, o))
                 == run_check(m, rs, "partial").verdict)
-        assert (full_compliant_fast(m, o)
+        assert ((False not in outcomes(m, o))
                 == run_check(m, rs, "full").verdict)
         TestInstanceAnalysis.assert_agrees_with_trace_enumeration(m, o)
         with pytest.raises(AssertionError, match="no and-block"):
-            partial_compliant_fast(validate(seq(
+            outcomes(validate(seq(
                 task("x", "a"), and_(task("y", "b"), task("z", "d")))), o)
 
     @pytest.mark.parametrize("first_seed", range(0, 300, 75))
@@ -600,9 +595,9 @@ class TestQuietSkip:
             while count_executions(m.root) > 400:
                 m, o = quiet_branch_instance(rng)
             rs = RuleSet((o,))
-            assert partial_compliant_fast(m, o) \
+            assert (True in outcomes(m, o)) \
                 == reference_report(m, rs, "partial", False)[0]
-            assert full_compliant_fast(m, o) \
+            assert (False not in outcomes(m, o)) \
                 == reference_report(m, rs, "full", False)[0]
             assert [t.id for t in trigger_transitions(m, o)] \
                 == trigger_reading(m, o)
