@@ -7,9 +7,11 @@ script copies ``src/``, ``tests/``, ``scripts/``, ``data/`` and
 ``README.md`` to a temporary directory, runs every selection there
 unmutated (a mutant only counts as killed when its tests pass without
 it), then applies each mutant in turn and runs ``pytest -x -q`` on its
-selection; it is killed when a test fails.  It fails when a mutant
-survives, or when a mutant's old text does not occur exactly once, so a
-change that moves pinned code must move the mutant with it.  A mutant
+selection; it is killed when a test fails.  A mutant whose tests run
+past their time budget is reported as ``TIMED OUT`` and counts as a
+survivor.  The script fails when a mutant survives, or when a mutant's
+old text does not occur exactly once, so a change that moves pinned code
+must move the mutant with it.  A mutant
 whose code is deleted goes with that code.
 
 Usage: python3 scripts/mutants.py
@@ -30,6 +32,10 @@ ENGINE = "tests/test_engine.py"
 FORMULA = "tests/test_formula.py"
 PROCESS = "tests/test_process.py"
 IO = "tests/test_io_cli.py"
+# Time budgets: a mutant whose tests are still running after
+# MUTANT_SECONDS (a loop, say) is killed and counts as a survivor.
+MUTANT_SECONDS = 60
+BASELINE_SECONDS = 300
 
 
 class Mutant(NamedTuple):
@@ -189,6 +195,31 @@ MUTANTS = (
            "if len(obj) < len(pairs):",
            "if False:",
            (f"{IO}::TestCli::test_duplicate_keys_exit_two_by_name",)),
+    Mutant("the loader keeps carriage returns in line ends",
+           "src/wfcheck/fileio.py",
+           'if "\\r" in text:',
+           "if False:",
+           (f"{IO}::TestCli::test_every_load_error_names_its_file",)),
+    Mutant("the loader names a missing file as it was spelled",
+           "src/wfcheck/fileio.py",
+           'f = open(Path(path), "rb")',
+           "raise",
+           (f"{IO}::TestCli"
+            "::test_a_missing_file_is_named_as_pathlib_spells_it",
+            f"{IO}::TestModelFiles::test_a_path_is_read_as_pathlib_reads_it")),
+    # the report writer
+    Mutant("the report writer puts a closing bracket on the last item's line",
+           "src/wfcheck/fileio.py",
+           '("," + inner).join(items) + "\\n" + indent + "]"',
+           '("," + inner).join(items) + indent + "]"',
+           (f"{IO}::TestReportFiles"
+            "::test_format_report_writes_what_json_dumps_writes",)),
+    # the tokenizer
+    Mutant("the tokenizer skips characters no token starts with",
+           "src/wfcheck/formula.py",
+           'r"|(\\S|(?<=\\s)\\Z))")',
+           'r")")',
+           (f"{FORMULA}::TestParser",)),
     # erase
     Mutant("erase keeps a sequence that lost a child",
            "src/wfcheck/fastpath.py",
@@ -198,11 +229,18 @@ MUTANTS = (
 )
 
 
-def pytest(where: Path, tests) -> subprocess.CompletedProcess:
+def pytest(where: Path, tests, seconds: float
+           ) -> subprocess.CompletedProcess | None:
+    """The pytest run of ``tests``, or None when it is still running after
+    ``seconds`` and has been killed."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *tests], cwd=where, env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *tests], cwd=where, env=env,
+            capture_output=True, text=True, timeout=seconds)
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -223,9 +261,11 @@ def main() -> int:
             else:
                 shutil.copy(source, where / name)
         every = sorted({t for m in MUTANTS for t in m.tests})
-        baseline = pytest(where, every)
-        if baseline.returncode != 0:
-            print("the selections fail without a mutant:\n" + baseline.stdout,
+        baseline = pytest(where, every, BASELINE_SECONDS)
+        if baseline is None or baseline.returncode != 0:
+            print("the selections fail without a mutant:\n"
+                  + (f"still running after {BASELINE_SECONDS} s"
+                     if baseline is None else baseline.stdout),
                   file=sys.stderr)
             return 1
         survivors = 0
@@ -233,15 +273,17 @@ def main() -> int:
             target = where / m.path
             target.write_text(texts[m.path].replace(m.old, m.new), "utf-8")
             start = time.perf_counter()
-            result = pytest(where, m.tests)
+            result = pytest(where, m.tests, MUTANT_SECONDS)
             seconds = time.perf_counter() - start
             target.write_text(texts[m.path], "utf-8")
             # pytest exits 1 when a test fails; other codes (a collection
-            # error, say) are no kill
-            killed = result.returncode == 1
-            survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED':8} {seconds:5.1f} s"
-                  f"  {m.name}", flush=True)
+            # error, say) are no kill, and neither is a run out of time
+            if result is None:
+                status = "TIMED OUT"
+            else:
+                status = "killed" if result.returncode == 1 else "SURVIVED"
+            survivors += status != "killed"
+            print(f"{status:9} {seconds:5.1f} s  {m.name}", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 

@@ -10,10 +10,23 @@ rather than an error from deep inside the constructors, and every error
 raised while loading a file starts with that file's path.  Block trees
 may nest at most ``process.MAX_DEPTH`` blocks deep; the reader stops at
 that depth with ``process.ModelTooDeep``, as ``validate`` does.
+
+For small inputs the file handling costs more than the check, so both
+ends are kept cheap.  A file is read as bytes and decoded in one call,
+which costs less than half of what text mode's reader does; its line
+ends are then translated as text mode translates them, so a decode error
+names the same line, column and char.  A path that does not open is
+opened once more through ``pathlib``, so the error names the file as it
+did when files were read with ``Path.read_text``.  ``format_report``
+writes the report's fixed layout itself and encodes only the leaves,
+because ``json.dumps`` given an indent runs its pure-Python encoder; its
+bytes equal ``json.dumps(report_to_dict(report), indent=2)``.
 """
 from __future__ import annotations
 
 import json
+import os
+from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 
 from .engine import ENGINES, MODES, ComplianceReport, Witness
@@ -119,11 +132,25 @@ def _keep_pairs(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_keep_pairs)
 
 
+def _text(path) -> str:
+    """The text of the file at ``path``, its lines ended as text mode ends
+    them, so that decode errors name the same places."""
+    try:
+        f = open(os.fspath(path), "rb")
+    except OSError:  # raised again naming the file as ``Path`` spells it
+        f = open(Path(path), "rb")
+    with f:
+        text = f.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load(path, read):
     """``read`` of the JSON in the file at ``path``.  A ValueError raised
     while loading keeps its class and gets the path in front of its text."""
     try:
-        return read(_DECODER.decode(Path(path).read_text("utf-8")))
+        return read(_DECODER.decode(_text(path)))
     except RecursionError:  # JSON too deep for the decoder
         raise ModelTooDeep(
             f"{path}: JSON nests more than {MAX_DEPTH} deep") from None
@@ -246,5 +273,32 @@ def report_from_dict(obj) -> ComplianceReport:
     return ComplianceReport(**obj)
 
 
+def _array(items: list[str], indent: str) -> str:
+    """The JSON array of ``items``, each already JSON text, laid out as
+    ``json.dumps(..., indent=2)`` lays out an array whose line starts at
+    ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def format_report(report: ComplianceReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    """``json.dumps(report_to_dict(report), indent=2)``, written field by
+    field: given an indent, ``json.dumps`` runs its pure-Python encoder.
+    Strings are encoded as ``json.dumps`` encodes them."""
+    w = report.witness
+    if w is None:
+        witness = "null"
+    else:
+        execution = _array([_quoted(t) for t in w.execution], "    ")
+        states = _array([_array([_quoted(str(l))
+                                 for l in s.sorted_literals()], "      ")
+                         for s in w.states], "    ")
+        witness = ('{\n    "execution": ' + execution
+                   + ',\n    "states": ' + states + "\n  }")
+    return ('{\n  "mode": ' + _quoted(report.mode)
+            + ',\n  "verdict": ' + json.dumps(report.verdict)
+            + ',\n  "witness": ' + witness
+            + ',\n  "traces_examined": ' + json.dumps(report.traces_examined)
+            + ',\n  "engine": ' + _quoted(report.engine) + "\n}")

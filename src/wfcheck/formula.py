@@ -294,7 +294,11 @@ class Interpretation:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(->)|([!&|()])|([A-Za-z_][A-Za-z0-9_]*))")
+# After any whitespace, group 1 is a token: "->", a one-character operator
+# or bracket, or a word.  Group 2 is what no token starts with: a character,
+# or the end of the text right after whitespace.
+_TOKEN_RE = re.compile(r"\s*(?:(->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(\S|(?<=\s)\Z))")
 
 
 # Formulas nest at most this deep: no more brackets, negations and
@@ -318,30 +322,22 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == m.start():
-                at = pos + len(text[pos:]) - len(text[pos:].lstrip())
+        # (token, index) pairs, ended by (None, len(text)) for the end
+        self.tokens: list[tuple[str | None, int]] = []
+        for m in _TOKEN_RE.finditer(text):  # the matches tile the text
+            if m.lastindex == 2:
                 raise FormulaSyntaxError("unexpected character",
-                                         _byte_offset(text, at))
-            tok = m.group(1) or m.group(2) or m.group(3)
-            if tok is not None:
-                self.tokens.append((tok, m.end() - len(tok)))
-            pos = m.end()
+                                         _byte_offset(text, m.start(2)))
+            self.tokens.append((m[1], m.start(1)))
+        self.tokens.append((None, len(text)))
         self.index = 0
         self.nesting = 0  # brackets, negations, implications around here
 
     def peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
+        return self.tokens[self.index][0]
 
     def offset(self) -> int:
-        if self.index < len(self.tokens):
-            return _byte_offset(self.text, self.tokens[self.index][1])
-        return _byte_offset(self.text, len(self.text))
+        return _byte_offset(self.text, self.tokens[self.index][1])
 
     def take(self) -> str:
         tok = self.peek()

@@ -151,6 +151,27 @@ class TestParser:
             parse_formula(text)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("text,message", [
+        ("a & $b", "unexpected character (offset 4)"),
+        ("a -", "unexpected character (offset 2)"),
+        # offsets count bytes: the no-break space before $ takes two
+        ("a\u00a0$", "unexpected character (offset 3)"),
+        ("a & \u00e9", "unexpected character (offset 4)"),
+        # whitespace at the end reads as an unexpected character there
+        ("a ", "unexpected character (offset 2)"),
+        ("a \t", "unexpected character (offset 3)"),
+        ("  ", "unexpected character (offset 2)"),
+        ("", "unexpected end of input (offset 0)"),
+        ("a & ", "unexpected character (offset 4)"),
+        ("->", "unexpected token '->' (offset 0)"),
+        ("(a b", "expected ')' (offset 3)"),
+        ("a b", "trailing input 'b' (offset 2)"),
+    ])
+    def test_syntax_error_texts(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
     @given(formulas())
     def test_format_round_trips(self, f):
         assert parse_formula(format_formula(f)) == f

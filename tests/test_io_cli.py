@@ -19,12 +19,13 @@ from test_acceptance import _render_everything
 from wfcheck import fileio
 from wfcheck.cli import main
 from wfcheck.bench import CSV_HEADER, run_bench
-from wfcheck.engine import run_check
+from wfcheck.engine import ComplianceReport, Witness, run_check
 from wfcheck.fileio import (MAX_DEPTH, FileFormatError, ModelTooDeep,
                             dump_model, dump_rules, load_model, load_rules,
                             model_from_dict, model_to_dict, report_from_dict,
                             report_to_dict, rules_from_dict, rules_to_dict)
-from wfcheck.formula import MAX_FORMULA_DEPTH, parse_formula
+from wfcheck.formula import (EMPTY_STATE, MAX_FORMULA_DEPTH, State,
+                             parse_formula)
 from wfcheck.generate import GeneratorConfig, generate_instance
 from wfcheck.obligations import (Kind, Obligation, RuleSet, VariantTag,
                                  classify_variant)
@@ -175,6 +176,32 @@ class TestModelFiles:
         path.write_text('{"obligations": ' + "[" * depth + "]" * depth + "}")
         with pytest.raises(ModelTooDeep, match=f"more than {MAX_DEPTH}"):
             load_rules(path)
+
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"],
+                             ids=["crlf", "cr"])
+    def test_files_with_other_line_ends_load_the_same(self, tmp_path,
+                                                     newline):
+        for source, load in ((GOLDEN_MODEL, load_model),
+                             (GOLDEN_RULES, load_rules)):
+            path = tmp_path / source.name
+            path.write_bytes(source.read_bytes().replace(b"\n", newline))
+            assert load(path) == load(source)
+
+    def test_a_path_is_read_as_pathlib_reads_it(self):
+        # a file path with a trailing slash names the file for pathlib
+        assert load_model(f"{GOLDEN_MODEL}/") == load_model(GOLDEN_MODEL)
+
+    def test_a_file_descriptor_is_no_path(self):
+        fd = os.open(GOLDEN_MODEL, os.O_RDONLY)
+        try:
+            for load in (load_model, load_rules):
+                with pytest.raises(TypeError):
+                    load(fd)
+            # not read from, and not closed
+            assert os.read(fd, 1) == b"{"
+        finally:
+            os.close(fd)
 
 
 class TestRuleFiles:
@@ -345,6 +372,28 @@ class TestReportFiles:
         assert set(obj["witness"]) == {"execution", "states"}
         assert all(isinstance(s, list) for s in obj["witness"]["states"])
 
+    def test_format_report_writes_what_json_dumps_writes(self):
+        # format_report lays the report out by hand; the reference is the
+        # indenting encoder
+        reports = [
+            ComplianceReport("full", False, Witness((), ()), 0),
+            ComplianceReport("non", True, Witness(
+                ("t\u00e9", 'q"\\', "\n"), (EMPTY_STATE, State.of("-b", "a"),
+                                          EMPTY_STATE)), 2**70, "brute")]
+        for tag, seed in itertools.product(ALL_VARIANTS, range(3)):
+            m, rs = generate_instance(GeneratorConfig(seed=seed, variant=tag))
+            for mode in ("full", "partial", "non"):
+                reports.append(run_check(m, rs, mode))
+                reports.append(run_check(m, rs, mode, strict_deadline=True))
+                if str(tag) == "1L-":
+                    reports.append(run_check(m, rs, mode, engine="fast"))
+        assert any(r.witness is None and r.engine == "fast" for r in reports)
+        assert any(EMPTY_STATE in r.witness.states
+                   for r in reports if r.witness)
+        for r in reports:
+            assert fileio.format_report(r) == json.dumps(report_to_dict(r),
+                                                         indent=2)
+
 
 ALL_VARIANTS = [VariantTag(*bits)
                 for bits in itertools.product((True, False), repeat=3)]
@@ -456,6 +505,16 @@ class TestCli:
                      "--rules", str(GOLDEN_RULES), "--mode", "full"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("spelled", ["{}//nope.json", "{}/./nope.json"])
+    def test_a_missing_file_is_named_as_pathlib_spells_it(self, tmp_path,
+                                                          capsys, spelled):
+        code = main(["check", "--model", spelled.format(tmp_path),
+                     "--rules", str(GOLDEN_RULES), "--mode", "full"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: "
+            f"'{tmp_path}/nope.json'\n")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -656,8 +715,21 @@ class TestCli:
                                       "requirement": "b", "triger": "a",
                                       "deadline": "d"}]},
          "obligations[0]: unknown key 'triger'"),
+        # files read in bytes end their lines as text mode does, so an
+        # error is placed by the same line, column and char
+        ("--model", b'{\r\n"root": ',
+         "Expecting value: line 2 column 9 (char 10)"),
+        ("--model", b'{\r"root": ',
+         "Expecting value: line 2 column 9 (char 10)"),
+        ("--model", b'{\r\n  "root": "\xff"}', "'utf-8' codec can't decode "
+                                              "byte 0xff in position 14: "
+                                              "invalid start byte"),
+        ("--rules", b'{"obligations": [{"kind": "achievement",\r\n'
+                    b'"requirement": "b\r"}]}',
+         "Invalid control character at: line 2 column 18 (char 58)"),
     ], ids=["truncated", "not-utf8", "block-type", "clash", "duplicate-id",
-            "too-deep", "formula", "kind", "key"])
+            "too-deep", "formula", "kind", "key", "truncated-crlf",
+            "truncated-cr", "not-utf8-crlf", "raw-cr-in-string"])
     def test_every_load_error_names_its_file(self, tmp_path, capsys, option,
                                              content, message):
         path = tmp_path / f"bad.{option[2:]}.json"
