@@ -72,8 +72,8 @@ MUTANTS = (
            (f"{FAST}::TestInstanceAnalysis::test_non_trigger_task_rejected",)),
     Mutant("a trigger is treated as quiet",
            "src/wfcheck/fastpath.py",
-           "& atoms and task.id not in trigger_ids",
-           "& atoms",
+           "& mask and task.id not in trigger_ids",
+           "& mask",
            (f"{FAST}::TestWholeModelChecks",)),
     Mutant("a choice's all-quiet branch gets no stand-in",
            "src/wfcheck/fastpath.py",
@@ -90,7 +90,7 @@ MUTANTS = (
            (f"{FAST}::TestWholeModelChecks",)),
     Mutant("a negative trigger reads as a positive one",
            "src/wfcheck/fastpath.py",
-           "if bool(t.annotation.pos & bit) is trigger.positive}",
+           "if bool(t.annotation.pos & bit) is positive}",
            "if bool(t.annotation.pos & bit)}",
            (f"{FAST}::TestTriggerTransitions",)),
     Mutant("a carry is decided under several triggers",
@@ -100,8 +100,8 @@ MUTANTS = (
            (f"{FAST}::TestWholeModelChecks",)),
     Mutant("a fast step clears no bit on a negated literal",
            "src/wfcheck/fastpath.py",
-           "bits = (carry[0] & ~(ann.pos | ann.neg) | ann.pos) & atoms",
-           "bits = (carry[0] | ann.pos) & atoms",
+           "bits = (carry[0] & ~(ann.pos | ann.neg) | ann.pos) & mask",
+           "bits = (carry[0] | ann.pos) & mask",
            (f"{FAST}::TestMaskReading"
             "::test_requirement_and_deadline_on_one_atom",)),
     # the and-block search
@@ -167,6 +167,11 @@ MUTANTS = (
            "for k, child in enumerate(children)",
            "for k, child in enumerate(children[:1])",
            (f"{PROCESS}::TestEnumeration",)),
+    Mutant("runs are walked in the order the tree lists their tasks",
+           "src/wfcheck/process.py",
+           "moves.sort(key=lambda move: move[0].id)",
+           "pass",
+           (f"{PROCESS}::TestEnumerationOrder",)),
     Mutant("an and-block's runs are counted without their shuffles",
            "src/wfcheck/process.py",
            "ways = c1 * c2 * math.comb(n, l1) if shuffle else c1 * c2",
@@ -207,7 +212,17 @@ MUTANTS = (
            (f"{IO}::TestCli"
             "::test_a_missing_file_is_named_as_pathlib_spells_it",
             f"{IO}::TestModelFiles::test_a_path_is_read_as_pathlib_reads_it")),
-    # the report writer
+    # the report reader and writer
+    Mutant("the report reader accepts a negative examined count",
+           "src/wfcheck/fileio.py",
+           'if obj["traces_examined"] < 0:',
+           "if False:",
+           (f"{IO}::TestReportFiles::test_malformed_reports_are_refused",)),
+    Mutant("the report reader accepts an unknown mode",
+           "src/wfcheck/fileio.py",
+           'for key, known in (("mode", MODES), ("engine", ENGINES)):',
+           'for key, known in (("engine", ENGINES),):',
+           (f"{IO}::TestReportFiles::test_malformed_reports_are_refused",)),
     Mutant("the report writer puts a closing bracket on the last item's line",
            "src/wfcheck/fileio.py",
            '("," + inner).join(items) + "\\n" + indent + "]"',
@@ -217,9 +232,23 @@ MUTANTS = (
     # the tokenizer
     Mutant("the tokenizer skips characters no token starts with",
            "src/wfcheck/formula.py",
-           'r"|(\\S|(?<=\\s)\\Z))")',
-           'r")")',
+           'r")|(\\S))")',
+           'r"))")',
            (f"{FORMULA}::TestParser",)),
+    # the CLI's exit codes
+    Mutant("check exits 0 on a false verdict",
+           "src/wfcheck/cli.py",
+           "return 0 if report.verdict else 1",
+           "return 0",
+           (f"{IO}::TestCli::test_check_full_false_exits_one",)),
+    Mutant("an input error exits 1, as a false verdict does",
+           "src/wfcheck/cli.py",
+           "except (OSError, ValueError, RuntimeError) as err:",
+           "except ValueError as err:\n"
+           '        print(f"error: {err}", file=sys.stderr)\n'
+           "        return 1\n"
+           "    except (OSError, RuntimeError) as err:",
+           (f"{IO}::TestCli::test_mistyped_fields_exit_two",)),
     # erase
     Mutant("erase keeps a sequence that lost a child",
            "src/wfcheck/fastpath.py",

@@ -15,9 +15,10 @@ Then, on 250 generated 1L- instances (seeds 0-249, max_tasks=10,
 atom_pool=6), it prints the fast engine's answers: label_triggers and,
 for every trigger, whether its interval can be satisfied and violated
 (``outcomes`` given the trigger), and fast partial and full compliance
-(``outcomes`` over the whole rule).  ``instance_satisfiable`` prints
-whether ``True`` is among a trigger's outcomes, ``instance_violable``
-whether ``False`` is.
+(``outcomes`` over the whole rule).  ``instance_satisfiable`` and
+``instance_violable`` are printed labels, no longer names of functions:
+they say whether ``True``, and whether ``False``, is among a trigger's
+outcomes.
 
 Cases are printed by name, never by file path, so the output depends on
 the code alone.  tests/report_corpus.sha256 holds the sha256 of this

@@ -22,8 +22,7 @@ task in the set, they are whether the rule is satisfied, over all runs:
 ``True in`` them is partial compliance, ``False not in`` them full.  With
 a trigger task x, the set is {x}, and the endings of the runs where x
 fired are whether x's interval is satisfied, over the runs containing x.
-A query walks the model's task list once to find the trigger tasks;
-``label_triggers`` shares that walk among its triggers.
+A query walks the model's task list once to find the trigger tasks.
 
 The structural `erase` operation removes tasks from a model such that the
 surviving runs are exactly the original runs avoiding them (None if there
@@ -35,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .formula import atom_bit, formula_to_literal
+from .formula import Atom, atom_bit, atoms, truth
 from .net import DEFAULT_CAP, Carry, ExecutionCapExceeded
 from .obligations import (MONITOR_DEAD, Obligation, RuleSet,
                           classify_variant, monitor, monitor_complies)
@@ -75,11 +74,12 @@ def trigger_transitions(m: Model, o: Obligation) -> list[Task]:
 #
 # The carry is (the asserted bits of the requirement and deadline atoms,
 # mark, whether a trigger in the set fired); a task steps the bits as
-# ``update`` steps a state's ``pos`` mask.  A carry that can no longer
-# change the outcome collapses to one constant, which keeps reach sets
-# small: _DEAD once an interval is violated, _DECIDED once the only
-# trigger has fired and its interval closed (a task fires at most once
-# per run).
+# ``update`` steps a state's ``pos`` mask, and the monitor reads them with
+# ``formula.truth``, as ``eval_formula`` reads ``pos``.  A carry that can
+# no longer change the outcome collapses to one constant, which keeps
+# reach sets small: _DEAD once an interval is violated, _DECIDED once the
+# only trigger has fired and its interval closed (a task fires at most
+# once per run).
 
 _DEAD, _DECIDED = (0, MONITOR_DEAD, True), (0, 0, True)
 
@@ -165,35 +165,28 @@ def _scan_tasks(m: Model, o: Obligation) -> dict[str, Task]:
     """o's trigger tasks by id, in declaration order; WrongVariant unless
     o is 1L-."""
     require_single_local_literal(RuleSet((o,)))
-    trigger = formula_to_literal(o.trigger)
-    bit = atom_bit(trigger.atom)
+    positive = isinstance(o.trigger, Atom)
+    bit = atom_bit((o.trigger if positive else o.trigger.operand).name)
     # closed world: !u holds on every task that does not assert u
     return {t.id: t for t in iter_tasks(m.root)
-            if bool(t.annotation.pos & bit) is trigger.positive}
+            if bool(t.annotation.pos & bit) is positive}
 
 
 def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
              and_cap: int) -> frozenset[Carry]:
     """Carries o's monitor ends some run of m in, stepped on the state
     projected onto o's requirement and deadline atoms."""
-    requirement, deadline = map(formula_to_literal,
-                                (o.requirement, o.deadline))
-    req_bit, dl_bit = atom_bit(requirement.atom), atom_bit(deadline.atom)
-    atoms = req_bit | dl_bit
-
-    def holds(f, bits: int) -> bool:  # eval_formula on a literal
-        if f is o.requirement:
-            return bool(bits & req_bit) is requirement.positive
-        return bool(bits & dl_bit) is deadline.positive
-
-    mark, monitor_step = monitor(o, trigger_ids, False, holds)
+    mask = 0
+    for atom in atoms(o.requirement) | atoms(o.deadline):
+        mask |= atom_bit(atom)
+    mark, monitor_step = monitor(o, trigger_ids, False, truth)
     single = len(trigger_ids) == 1
 
     def step(carry, task: Task):
         if carry is _DEAD or carry is _DECIDED:
             return carry
         ann = task.annotation
-        bits = (carry[0] & ~(ann.pos | ann.neg) | ann.pos) & atoms
+        bits = (carry[0] & ~(ann.pos | ann.neg) | ann.pos) & mask
         mark = monitor_step(carry[1], task, bits)
         if mark == MONITOR_DEAD:
             return _DEAD
@@ -204,16 +197,18 @@ def _endings(m: Model, o: Obligation, trigger_ids: frozenset[str],
 
     def quiet(task: Task) -> bool:  # no trigger, mentions neither atom
         ann = task.annotation
-        return not (ann.pos | ann.neg) & atoms and task.id not in trigger_ids
+        return not (ann.pos | ann.neg) & mask and task.id not in trigger_ids
 
     # runs start empty, asserting nothing
     return _reach(m.root, frozenset(((0, mark, False),)), step, quiet,
                   and_cap)
 
 
-def _outcomes(m: Model, o: Obligation, triggers: dict[str, Task],
-              x: Task | None, and_cap: int) -> frozenset[bool]:
-    """``outcomes`` over ``_scan_tasks``'s triggers."""
+def outcomes(m: Model, o: Obligation, x: Task | None = None,
+             and_cap: int = DEFAULT_CAP) -> frozenset[bool]:
+    """Whether o is satisfied, over every run of m; given a trigger task x,
+    whether x's interval is satisfied, over the runs that contain x."""
+    triggers = _scan_tasks(m, o)
     if x is not None and x.id not in triggers:
         raise ValueError(f"{x.id!r} is not a trigger task of this rule")
     trigger_ids = frozenset(triggers if x is None else (x.id,))
@@ -223,19 +218,11 @@ def _outcomes(m: Model, o: Obligation, triggers: dict[str, Task],
                      if fired or x is None)
 
 
-def outcomes(m: Model, o: Obligation, x: Task | None = None,
-             and_cap: int = DEFAULT_CAP) -> frozenset[bool]:
-    """Whether o is satisfied, over every run of m; given a trigger task x,
-    whether x's interval is satisfied, over the runs that contain x."""
-    return _outcomes(m, o, _scan_tasks(m, o), x, and_cap)
-
-
 def label_triggers(m: Model, o: Obligation,
                    and_cap: int = DEFAULT_CAP) -> list[TriggerAnalysis]:
     """Per-trigger satisfiability labelling, in declaration order."""
-    triggers = _scan_tasks(m, o)
-    return [TriggerAnalysis(x, True in _outcomes(m, o, triggers, x, and_cap))
-            for x in triggers.values()]
+    return [TriggerAnalysis(x, True in outcomes(m, o, x, and_cap))
+            for x in trigger_transitions(m, o)]
 
 
 def _erase_block(block: ProcessBlock,

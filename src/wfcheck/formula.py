@@ -56,8 +56,7 @@ class Atom(_Printed):
     name: str
 
     def __post_init__(self):
-        if not ATOM_PATTERN.fullmatch(self.name) or self.name in _KEYWORDS:
-            raise ValueError(f"bad atom name: {self.name!r}")
+        _check_name(self.name)
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,12 @@ TRUE = TrueConst()
 FALSE = FalseConst()
 _KEYWORDS = {"true": TRUE, "false": FALSE}  # no atom is named by these
 
+
+def _check_name(name: str) -> None:
+    if not ATOM_PATTERN.fullmatch(name) or name in _KEYWORDS:
+        raise ValueError(f"bad atom name: {name!r}")
+
+
 Formula = Union[Atom, Not, And, Or, Implies, TrueConst, FalseConst]
 
 
@@ -108,8 +113,7 @@ class Literal:
     positive: bool = True
 
     def __post_init__(self):
-        if not ATOM_PATTERN.fullmatch(self.atom) or self.atom in _KEYWORDS:
-            raise ValueError(f"bad atom name: {self.atom!r}")
+        _check_name(self.atom)
 
     def negate(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -295,10 +299,10 @@ class Interpretation:
 # parsing
 
 # After any whitespace, group 1 is a token: "->", a one-character operator
-# or bracket, or a word.  Group 2 is what no token starts with: a character,
-# or the end of the text right after whitespace.
-_TOKEN_RE = re.compile(r"\s*(?:(->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)"
-                       r"|(\S|(?<=\s)\Z))")
+# or bracket, or a word, which is an atom name by ``ATOM_PATTERN``.  Group 2
+# is a character no token starts with.  Whitespace at the end is skipped.
+_TOKEN_RE = re.compile(r"\s*(?:(->|[!&|()]|" + ATOM_PATTERN.pattern
+                       + r")|(\S))")
 
 
 # Formulas nest at most this deep: no more brackets, negations and
@@ -324,7 +328,7 @@ class _Parser:
         self.text = text
         # (token, index) pairs, ended by (None, len(text)) for the end
         self.tokens: list[tuple[str | None, int]] = []
-        for m in _TOKEN_RE.finditer(text):  # the matches tile the text
+        for m in _TOKEN_RE.finditer(text):  # tile all but end whitespace
             if m.lastindex == 2:
                 raise FormulaSyntaxError("unexpected character",
                                          _byte_offset(text, m.start(2)))
@@ -339,12 +343,9 @@ class _Parser:
     def offset(self) -> int:
         return _byte_offset(self.text, self.tokens[self.index][1])
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.offset())
+    def take(self):
+        """Pass the token ``peek`` read, which is not the end."""
         self.index += 1
-        return tok
 
     def expect(self, tok: str):
         if self.peek() != tok:
@@ -404,13 +405,11 @@ class _Parser:
             out = self.nested(self.binary)
             self.expect(")")
             return out
-        if tok in _KEYWORDS:
-            self.take()
-            return _KEYWORDS[tok], 0
-        if ATOM_PATTERN.fullmatch(tok):
-            self.take()
-            return Atom(tok), 0
-        raise FormulaSyntaxError(f"unexpected token {tok!r}", self.offset())
+        if tok in _BINARY or tok == ")":
+            raise FormulaSyntaxError(f"unexpected token {tok!r}",
+                                     self.offset())
+        self.take()  # a word
+        return (_KEYWORDS[tok] if tok in _KEYWORDS else Atom(tok)), 0
 
 
 def _byte_offset(text: str, index: int) -> int:
@@ -454,23 +453,29 @@ def _format(f: Formula, parent: int) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def eval_formula(f: Formula, s: State) -> bool:
-    """Closed-world truth of f over a state: absent atoms read as false."""
+def truth(f: Formula, pos: int) -> bool:
+    """Closed-world truth of f where ``pos`` is the mask of the atoms a
+    state asserts: all the truth reads, since absent atoms read as false."""
     if isinstance(f, Atom):
-        return bool(s.pos & _BITS.get(f.name, 0))
+        return bool(pos & _BITS.get(f.name, 0))
     if isinstance(f, Not):
-        return not eval_formula(f.operand, s)
+        return not truth(f.operand, pos)
     if isinstance(f, And):
-        return eval_formula(f.left, s) and eval_formula(f.right, s)
+        return truth(f.left, pos) and truth(f.right, pos)
     if isinstance(f, Or):
-        return eval_formula(f.left, s) or eval_formula(f.right, s)
+        return truth(f.left, pos) or truth(f.right, pos)
     if isinstance(f, Implies):
-        return not eval_formula(f.left, s) or eval_formula(f.right, s)
+        return not truth(f.left, pos) or truth(f.right, pos)
     if isinstance(f, TrueConst):
         return True
     if isinstance(f, FalseConst):
         return False
     raise TypeError(f"not a formula: {f!r}")
+
+
+def eval_formula(f: Formula, s: State) -> bool:
+    """Closed-world truth of f over a state: absent atoms read as false."""
+    return truth(f, s.pos)
 
 
 def eval_under_interpretation(f: Formula, interp: Interpretation) -> bool:
@@ -514,14 +519,6 @@ def closed_world(s: State, universe: Iterable[str]) -> Interpretation:
 def is_literal(f: Formula) -> bool:
     return isinstance(f, Atom) or (
         isinstance(f, Not) and isinstance(f.operand, Atom))
-
-
-def formula_to_literal(f: Formula) -> Literal:
-    if isinstance(f, Atom):
-        return Literal(f.name, True)
-    if isinstance(f, Not) and isinstance(f.operand, Atom):
-        return Literal(f.operand.name, False)
-    raise ValueError(f"not a literal: {format_formula(f)}")
 
 
 def tautology_truth_table(f: Formula) -> bool:

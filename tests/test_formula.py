@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from strategies import ATOM_POOL, formulas, literals, states
+from strategies import formulas, literals, states
 from wfcheck.formula import (FALSE, MAX_FORMULA_DEPTH, TRUE, And, Atom,
                              FormulaSyntaxError, Implies, InconsistentInput,
                              Interpretation, Literal, MissingAtom, Not, Or,
                              State,
                              TooManyAtoms, atoms, closed_world, eval_formula,
                              eval_under_interpretation, format_formula,
-                             formula_to_literal, is_literal, parse_formula,
+                             is_literal, parse_formula,
                              parse_literal, tautology_truth_table,
                              update)
 
@@ -157,12 +157,11 @@ class TestParser:
         # offsets count bytes: the no-break space before $ takes two
         ("a\u00a0$", "unexpected character (offset 3)"),
         ("a & \u00e9", "unexpected character (offset 4)"),
-        # whitespace at the end reads as an unexpected character there
-        ("a ", "unexpected character (offset 2)"),
-        ("a \t", "unexpected character (offset 3)"),
-        ("  ", "unexpected character (offset 2)"),
+        # whitespace at the end is skipped, as at the start
+        pytest.param("  ", "unexpected end of input (offset 2)",
+                     id="spaces only"),
         ("", "unexpected end of input (offset 0)"),
-        ("a & ", "unexpected character (offset 4)"),
+        ("a & ", "unexpected end of input (offset 4)"),
         ("->", "unexpected token '->' (offset 0)"),
         ("(a b", "expected ')' (offset 3)"),
         ("a b", "trailing input 'b' (offset 2)"),
@@ -171,6 +170,12 @@ class TestParser:
         with pytest.raises(FormulaSyntaxError) as err:
             parse_formula(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", [" a", "a ", "a \t", "\n a\n"],
+                             ids=["space before", "space after",
+                                  "tab after", "newlines around"])
+    def test_whitespace_around_a_formula_is_skipped(self, text):
+        assert parse_formula(text) == Atom("a")
 
     @given(formulas())
     def test_format_round_trips(self, f):
@@ -402,14 +407,3 @@ class TestLiterals:
         assert not is_literal(Not(Not(Atom("a"))))
         assert not is_literal(And(Atom("a"), Atom("b")))
         assert not is_literal(TRUE)
-
-    def test_formula_to_literal(self):
-        assert formula_to_literal(Atom("a")) == Literal("a", True)
-        assert formula_to_literal(Not(Atom("a"))) == Literal("a", False)
-        with pytest.raises(ValueError):
-            formula_to_literal(Or(Atom("a"), Atom("b")))
-
-    @given(st.sampled_from(ATOM_POOL), st.booleans())
-    def test_literal_formula_round_trip(self, name, positive):
-        lit = Literal(name, positive)
-        assert formula_to_literal(lit.to_formula()) == lit

@@ -216,6 +216,14 @@ class TestRuleFiles:
         dump_rules(rs, tmp_path / "r.json")
         assert load_rules(tmp_path / "r.json") == rs
 
+    def test_whitespace_around_a_field_is_skipped(self, tmp_path):
+        path = tmp_path / "r.json"
+        text = GOLDEN_RULES.read_text()
+        path.write_text(text.replace('"requirement": "b"',
+                                     '"requirement": "b "'))
+        assert path.read_text() != text
+        assert load_rules(path) == load_rules(GOLDEN_RULES)
+
     @given(rule_sets())
     def test_dict_round_trip(self, rs):
         assert rules_from_dict(rules_to_dict(rs)) == rs

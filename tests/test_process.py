@@ -304,6 +304,13 @@ class TestEnumerationOrder:
         runs = [e.task_ids() for e in enumerate_executions(m)]
         assert runs == sorted(structural_runs(m.root))
 
+    def test_runs_go_by_task_id_not_by_place_in_the_tree(self):
+        m = validate(seq(xor(task("d"), task("c")),
+                         and_(task("b"), task("a"))))
+        assert [e.task_ids()[1:-1] for e in enumerate_executions(m)] == [
+            ("c", "a", "b"), ("c", "b", "a"), ("d", "a", "b"),
+            ("d", "b", "a")]
+
     def test_silent_steps_fire_right_before_the_task_needing_them(self):
         m = validate(seq(and_(and_(task("a"), task("b")), task("c")),
                          task("d")))
